@@ -75,8 +75,10 @@ int Main() {
   pinot_config.sorted_column = "hex";
   pinot_config.star_tree_dimensions = {"hex", "status"};
   pinot_config.star_tree_metrics = {"fare"};
-  auto pinot = Segment::Build("pinot", TripSchema(), rows, pinot_config).value();
-  auto druid = Segment::Build("druid", TripSchema(), rows,
+  // Build consumes its rows; the first two builds get copies.
+  auto pinot =
+      Segment::Build("pinot", TripSchema(), std::vector<Row>(rows), pinot_config).value();
+  auto druid = Segment::Build("druid", TripSchema(), std::vector<Row>(rows),
                               olap::DruidLikeIndexConfig({"status"}))
                    .value();
 
@@ -127,7 +129,7 @@ int Main() {
   // status EQ is index-served, fare GT runs as a residual scan predicate.
   SegmentIndexConfig exec_config;
   exec_config.inverted_columns = {"status"};
-  auto exec_segment = Segment::Build("exec", TripSchema(), rows, exec_config).value();
+  auto exec_segment = Segment::Build("exec", TripSchema(), std::move(rows), exec_config).value();
 
   OlapQuery filtered_group_by;
   filtered_group_by.group_by = {"hex"};

@@ -6,10 +6,13 @@
 
 namespace uberrt {
 
+inline constexpr uint64_t kFnv1a64Offset = 1469598103934665603ULL;
+
 /// 64-bit FNV-1a. Used for partitioning keys across stream partitions and
 /// OLAP upsert partitions; stable across runs so tests can assert placement.
-inline uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = 1469598103934665603ULL;
+/// Pass a previous result as `h` to continue hashing across pieces:
+/// Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a + b).
+inline uint64_t Fnv1a64(std::string_view data, uint64_t h = kFnv1a64Offset) {
   for (unsigned char c : data) {
     h ^= c;
     h *= 1099511628211ULL;

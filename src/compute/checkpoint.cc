@@ -1,6 +1,8 @@
 #include "compute/checkpoint.h"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 namespace uberrt::compute {
 
@@ -92,7 +94,26 @@ std::string CheckpointStore::Key(int64_t sequence) const {
 
 Status CheckpointStore::Save(const CheckpointData& data) {
   UBERRT_RETURN_IF_ERROR(store_->Put(Key(data.sequence), data.Encode()));
-  return store_->Put(prefix_ + "/" + job_ + "/LATEST", std::to_string(data.sequence));
+  UBERRT_RETURN_IF_ERROR(
+      store_->Put(prefix_ + "/" + job_ + "/LATEST", std::to_string(data.sequence)));
+  // Retention: keep the checkpoint just written and the newest one before
+  // it, delete the older ones. Best-effort — an object a failed Delete (or
+  // List during an outage) leaves behind is swept by the next save.
+  const std::string chk_prefix = prefix_ + "/" + job_ + "/chk-";
+  std::vector<int64_t> older;
+  for (const std::string& key : store_->List(chk_prefix)) {
+    int64_t sequence = 0;
+    if (ParseInt64(key.substr(chk_prefix.size()), &sequence) &&
+        sequence < data.sequence) {
+      older.push_back(sequence);
+    }
+  }
+  if (older.size() > 1) {
+    std::sort(older.begin(), older.end());
+    older.pop_back();
+    for (int64_t sequence : older) store_->Delete(Key(sequence)).ok();
+  }
+  return Status::Ok();
 }
 
 Result<CheckpointData> CheckpointStore::Load(int64_t sequence) const {

@@ -27,7 +27,10 @@ struct CheckpointData {
 };
 
 /// Persists/loads checkpoints under "<prefix>/<job>/chk-<seq>", tracking the
-/// latest sequence in "<prefix>/<job>/LATEST".
+/// latest sequence in "<prefix>/<job>/LATEST". Each Save keeps the newest
+/// two checkpoints (the one it wrote and its predecessor) and deletes the
+/// rest, so the store holds O(1) checkpoints per job however long it runs;
+/// restores only ever read LATEST.
 class CheckpointStore {
  public:
   CheckpointStore(storage::ObjectStore* store, std::string prefix, std::string job)

@@ -82,6 +82,7 @@ Result<std::string> JobManager::Submit(const JobGraph& graph,
   if (job->runner_options.checkpoint_retry == nullptr) {
     job->runner_options.checkpoint_retry = &checkpoint_retry_;
   }
+  if (job->runner_options.metrics == nullptr) job->runner_options.metrics = &metrics_;
   job->parallelism = graph.transforms().empty() ? 1 : graph.transforms()[0].parallelism;
   job->runner = std::make_unique<JobRunner>(job->graph, bus_, store_, job->runner_options);
   UBERRT_RETURN_IF_ERROR(job->runner->Start());

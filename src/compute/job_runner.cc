@@ -5,6 +5,7 @@
 #include "common/clock.h"
 #include "common/hash.h"
 #include "compute/window_operator.h"
+#include "stream/producer.h"
 
 namespace uberrt::compute {
 
@@ -14,30 +15,80 @@ namespace {
 /// itself, so a small pool round-robins fairly across a wide pipeline.
 constexpr int kInstanceTaskBudget = 1024;
 
-/// Terminal stage: delivers rows to the configured sink.
+/// Terminal stage: delivers rows to the configured sink. A topic sink
+/// encodes rows into one BatchingProducer and flushes it at the end of
+/// every ProcessBatch call, so a channel batch ships as one ProduceBatch per
+/// partition and nothing stays buffered across quanta or checkpoints.
+///
+/// A failed flush keeps its batch pending inside the producer and counts
+/// one `compute.sink_produce_errors`. Deliver() retries it: on the next
+/// ProcessBatch, on every watermark and, from the runner, at the end of
+/// each quantum and before the sink exits. Undelivered rows stay counted
+/// in the runner's in-flight total, so a checkpoint never covers them.
 class SinkOperator : public OperatorInstance {
  public:
   SinkOperator(const SinkSpec& spec, stream::MessageBus* bus,
-               std::atomic<int64_t>* records_out)
-      : spec_(spec), bus_(bus), records_out_(records_out) {}
+               std::atomic<int64_t>* records_out, std::atomic<int64_t>* in_flight,
+               Counter* produce_errors)
+      : spec_(spec),
+        records_out_(records_out),
+        in_flight_(in_flight),
+        produce_errors_(produce_errors) {
+    if (spec_.kind == SinkSpec::Kind::kTopic) {
+      producer_ = std::make_unique<stream::BatchingProducer>(bus, spec_.topic);
+    }
+  }
 
   void ProcessRecord(const Element& element, Emitter* out) override {
+    ProcessBatch(&element, 1, out);
+  }
+
+  void ProcessBatch(const Element* elements, size_t count, Emitter* out) override {
     (void)out;
-    if (spec_.kind == SinkSpec::Kind::kTopic) {
-      stream::Message message;
-      message.value = EncodeRow(element.row);
-      message.timestamp = element.event_time;
-      bus_->Produce(spec_.topic, std::move(message), stream::AckMode::kLeader).ok();
-    } else if (spec_.collector) {
-      spec_.collector(element.row, element.event_time);
+    for (size_t i = 0; i < count; ++i) {
+      if (producer_ != nullptr) {
+        message_.value = EncodeRow(elements[i].row);
+        message_.timestamp = elements[i].event_time;
+        // An error here is a flush the producer triggered itself; the
+        // record is buffered either way and Deliver() below retries.
+        if (!producer_->Produce(message_).ok()) produce_errors_->Increment();
+      } else if (spec_.collector) {
+        spec_.collector(elements[i].row, elements[i].event_time);
+      }
     }
-    records_out_->fetch_add(1);
+    records_out_->fetch_add(static_cast<int64_t>(count));
+    Deliver();
+  }
+
+  void OnWatermark(TimestampMs watermark, Emitter* out) override {
+    (void)watermark;
+    (void)out;
+    Deliver();
+  }
+
+  /// Flushes everything buffered or pending; true when every row handed to
+  /// the producer is acked.
+  bool Deliver() {
+    if (producer_ == nullptr) return true;
+    if (producer_->buffered() > 0 && !producer_->Flush().ok()) {
+      produce_errors_->Increment();
+    }
+    const int64_t undelivered = producer_->buffered();
+    if (undelivered != undelivered_) {
+      in_flight_->fetch_add(undelivered - undelivered_);
+      undelivered_ = undelivered;
+    }
+    return undelivered == 0;
   }
 
  private:
   SinkSpec spec_;
-  stream::MessageBus* bus_;
   std::atomic<int64_t>* records_out_;
+  std::atomic<int64_t>* in_flight_;
+  Counter* produce_errors_;
+  std::unique_ptr<stream::BatchingProducer> producer_;  ///< topic sinks only
+  stream::Message message_;  ///< reused encode target
+  int64_t undelivered_ = 0;  ///< rows currently added to in_flight_
 };
 
 }  // namespace
@@ -73,7 +124,7 @@ struct JobRunner::Instance {
   std::unique_ptr<OperatorInstance> op;
   Wiring* output = nullptr;  ///< null for the sink stage
   int num_upstream = 0;
-  bool is_sink = false;
+  SinkOperator* sink = nullptr;  ///< == op for the sink stage, else null
   std::atomic<int64_t> state_bytes{0};
   std::atomic<int64_t> peak_state_bytes{0};
   std::atomic<int64_t> late_dropped{0};
@@ -158,7 +209,10 @@ JobRunner::JobRunner(JobGraph graph, stream::MessageBus* bus,
     : graph_(std::move(graph)),
       bus_(bus),
       options_(options),
-      checkpoint_store_(store, options.checkpoint_prefix, graph_.name()) {
+      checkpoint_store_(store, options.checkpoint_prefix, graph_.name()),
+      sink_produce_errors_(
+          (options.metrics != nullptr ? options.metrics : &owned_metrics_)
+              ->GetCounter("compute.sink_produce_errors")) {
   max_batch_ = std::max<size_t>(1, options_.max_batch_records);
 }
 
@@ -237,11 +291,13 @@ Status JobRunner::BuildTopology() {
       inst->queue =
           std::make_unique<BoundedQueue<ElementBatch>>(options_.channel_capacity);
       inst->num_upstream = num_upstream;
-      inst->is_sink = plan.is_sink;
       inst->upstream_wm.assign(static_cast<size_t>(num_upstream), INT64_MIN);
       inst->ends_remaining = num_upstream;
       if (plan.is_sink) {
-        inst->op = std::make_unique<SinkOperator>(graph_.sink(), bus_, &records_out_);
+        auto sink = std::make_unique<SinkOperator>(graph_.sink(), bus_, &records_out_,
+                                                   &in_flight_, sink_produce_errors_);
+        inst->sink = sink.get();
+        inst->op = std::move(sink);
       } else if (plan.last > plan.first) {
         std::vector<TransformSpec> chain(transforms.begin() + plan.first,
                                          transforms.begin() + plan.last + 1);
@@ -723,6 +779,14 @@ void JobRunner::RunInstance(Instance* instance) {
       FlushOut(*instance->output, &instance->out, &instance->stash);
     }
   };
+  // A sink holding rows from a failed flush neither idles nor exits: it
+  // retries once per quantum, pausing like a backpressured source.
+  auto retry_undelivered = [instance, &resubmit] {
+    if (instance->sink == nullptr || instance->sink->Deliver()) return false;
+    SystemClock::Instance()->SleepMs(1);
+    resubmit();
+    return true;
+  };
   if (instance->exiting) {
     // Final End already processed: drain whatever that emitted, then leave
     // for good (nothing more arrives after End). Never blocks a pool
@@ -731,7 +795,8 @@ void JobRunner::RunInstance(Instance* instance) {
       resubmit();
       return;
     }
-    if (instance->is_sink) finished_.store(true);
+    if (retry_undelivered()) return;
+    if (instance->sink != nullptr) finished_.store(true);
     instance->exited.store(true, std::memory_order_release);
     return;
   }
@@ -756,7 +821,8 @@ void JobRunner::RunInstance(Instance* instance) {
         resubmit();
         return;
       }
-      if (instance->is_sink) finished_.store(true);
+      if (retry_undelivered()) return;
+      if (instance->sink != nullptr) finished_.store(true);
       instance->exited.store(true, std::memory_order_release);
       return;
     }
@@ -768,6 +834,7 @@ void JobRunner::RunInstance(Instance* instance) {
     resubmit();
     return;
   }
+  if (retry_undelivered()) return;
   // Idle: clear the flag, then recheck — a producer that pushed between the
   // TryPop miss and the clear would otherwise be lost.
   instance->scheduled.store(false, std::memory_order_release);

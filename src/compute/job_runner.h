@@ -57,6 +57,10 @@ struct JobRunnerOptions {
   /// store; nullptr means one attempt (the seed behaviour). The policy is
   /// borrowed (typically from the JobManager) and must outlive the runner.
   common::RetryPolicy* checkpoint_retry = nullptr;
+  /// Registry the runner's counters land in (`compute.sink_produce_errors`).
+  /// Borrowed like `checkpoint_retry`: the JobManager passes its own, and
+  /// nullptr keeps them in a registry private to the runner.
+  MetricsRegistry* metrics = nullptr;
 };
 
 /// Streaming dataflow executor — the Flink substitute (Section 4.2).
@@ -197,6 +201,10 @@ class JobRunner {
   stream::MessageBus* bus_;
   JobRunnerOptions options_;
   CheckpointStore checkpoint_store_;
+  // Used when options_.metrics == nullptr. Declared before stages_: the sink
+  // instance holds the counter.
+  MetricsRegistry owned_metrics_;
+  Counter* sink_produce_errors_;
 
   std::unique_ptr<common::Executor> owned_executor_;  // when options_.executor==nullptr
   common::Executor* executor_ = nullptr;

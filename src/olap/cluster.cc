@@ -341,8 +341,10 @@ Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
             }
             size_t want =
                 std::min(max_per_partition - used, static_cast<size_t>(room));
-            Result<std::vector<stream::Message>> batch =
-                bus_->Fetch(t->topic, partition_id, sp.stream_offset, want);
+            // Borrowed views: rows decode straight out of the broker's
+            // arenas, no owning copy per message. The pins die with `batch`.
+            Result<stream::FetchedBatch> batch =
+                bus_->FetchViews(t->topic, partition_id, sp.stream_offset, want);
             if (!batch.ok()) {
               if (batch.status().code() == StatusCode::kOutOfRange) {
                 Result<int64_t> begin = bus_->BeginOffset(t->topic, partition_id);
@@ -353,7 +355,7 @@ Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
             }
             if (batch.value().empty()) break;
             used += batch.value().size();
-            for (const stream::Message& m : batch.value()) {
+            for (const stream::wire::MessageView& m : batch.value().messages) {
               Result<Row> row = DecodeRow(m.value);
               sp.stream_offset = m.offset + 1;
               if (!row.ok()) {
@@ -892,7 +894,7 @@ Result<int64_t> OlapCluster::CompactOnce(const std::string& table) {
       rows.push_back(old->GetRow(static_cast<size_t>(r)));
     }
     Result<std::shared_ptr<Segment>> rebuilt =
-        Segment::Build(old->name(), schema, rows, index_config);
+        Segment::Build(old->name(), schema, std::move(rows), index_config);
     if (!rebuilt.ok()) {
       statuses[i] = rebuilt.status();
       return;

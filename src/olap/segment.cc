@@ -4,7 +4,9 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
-#include <set>
+#include <functional>
+#include <string_view>
+#include <utility>
 
 #include "common/hash.h"
 
@@ -247,48 +249,111 @@ int64_t Segment::Column::MemoryBytes() const {
   return bytes;
 }
 
+namespace {
+
+/// Dictionary-encodes one column by sorting (key, row) pairs. The sort is
+/// stable, so each run of equivalent keys starts with the first-seen member
+/// of its class: the member an ordered set fed in row order would keep. One
+/// walk over the runs assigns ids (`ids[row]`) and records each run head's
+/// row (`heads[id]`). A merge sort also stays in range when `less` is no
+/// strict weak order (NaN).
+template <typename Key, typename Less>
+void EncodeRuns(std::vector<std::pair<Key, uint32_t>>* entries, Less less,
+                std::vector<uint32_t>* ids, std::vector<uint32_t>* heads) {
+  std::stable_sort(entries->begin(), entries->end(), [&less](const auto& a, const auto& b) {
+    return less(a.first, b.first);
+  });
+  uint32_t id = 0;
+  for (size_t k = 0; k < entries->size(); ++k) {
+    const auto& [key, row] = (*entries)[k];
+    if (k == 0 || less((*entries)[k - 1].first, key)) {
+      id = static_cast<uint32_t>(heads->size());
+      heads->push_back(row);
+    }
+    (*ids)[row] = id;
+  }
+}
+
+}  // namespace
+
 Result<std::shared_ptr<Segment>> Segment::Build(std::string name, RowSchema schema,
-                                                std::vector<Row> rows,
+                                                std::vector<Row>&& rows,
                                                 SegmentIndexConfig config) {
-  auto segment = std::shared_ptr<Segment>(new Segment());
-  segment->name_ = std::move(name);
-  segment->schema_ = std::move(schema);
-  segment->config_ = config;
-  const size_t num_cols = segment->schema_.NumFields();
+  // Validate before touching `rows`: a failed build leaves them intact.
+  const size_t num_cols = schema.NumFields();
   for (const Row& row : rows) {
     if (row.size() != num_cols) {
       return Status::InvalidArgument("row width mismatch in segment build");
     }
   }
-
-  // Sort rows by the sorted column, if any.
+  int sorted_idx = -1;
   if (!config.sorted_column.empty()) {
-    int idx = segment->schema_.FieldIndex(config.sorted_column);
-    if (idx < 0) return Status::InvalidArgument("sorted column not in schema");
-    segment->sorted_column_ = idx;
-    std::stable_sort(rows.begin(), rows.end(), [idx](const Row& a, const Row& b) {
-      return a[static_cast<size_t>(idx)] < b[static_cast<size_t>(idx)];
-    });
+    sorted_idx = schema.FieldIndex(config.sorted_column);
+    if (sorted_idx < 0) return Status::InvalidArgument("sorted column not in schema");
   }
-  segment->num_rows_ = rows.size();
 
-  // Dictionary-encode each column.
+  auto segment = std::shared_ptr<Segment>(new Segment());
+  segment->name_ = std::move(name);
+  segment->schema_ = std::move(schema);
+  segment->config_ = config;
+  segment->sorted_column_ = sorted_idx;
+  if (sorted_idx >= 0) {
+    const auto idx = static_cast<size_t>(sorted_idx);
+    std::stable_sort(rows.begin(), rows.end(),
+                     [idx](const Row& a, const Row& b) { return a[idx] < b[idx]; });
+  }
+  const size_t num_rows = rows.size();
+  segment->num_rows_ = num_rows;
+
+  // Dictionary-encode each column. Cells are coerced in place and the run
+  // heads are moved into the dictionary: the rows are consumed from here on.
   segment->columns_.resize(num_cols);
+  std::vector<std::pair<double, uint32_t>> numeric;
+  std::vector<std::pair<std::string_view, uint32_t>> strings;
+  std::vector<std::pair<const Value*, uint32_t>> cells;
+  std::vector<uint32_t> heads;
   for (size_t c = 0; c < num_cols; ++c) {
     Column& column = segment->columns_[c];
     column.type = segment->schema_.fields()[c].type;
-    std::set<Value> values;
-    for (const Row& row : rows) values.insert(CoerceTo(column.type, row[c]));
-    column.dictionary.assign(values.begin(), values.end());
-    std::vector<uint32_t> ids(rows.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      auto it = std::lower_bound(column.dictionary.begin(), column.dictionary.end(),
-                                 CoerceTo(column.type, rows[r][c]));
-      ids[r] = static_cast<uint32_t>(it - column.dictionary.begin());
+    bool has_null = false;
+    for (Row& row : rows) {
+      Value& v = row[c];
+      if (v.is_null()) {
+        has_null = true;
+      } else if (v.type() != column.type) {
+        v = CoerceTo(column.type, v);
+      }
     }
-    uint32_t max_id =
-        column.dictionary.empty() ? 0
-                                  : static_cast<uint32_t>(column.dictionary.size() - 1);
+    std::vector<uint32_t> ids(num_rows);
+    heads.clear();
+    if (!has_null && (column.type == ValueType::kInt ||
+                      column.type == ValueType::kDouble ||
+                      column.type == ValueType::kBool)) {
+      // Numeric cells compare by ToNumeric (ints >= 2^53 may tie), so that
+      // double is the exact key.
+      numeric.clear();
+      for (size_t r = 0; r < num_rows; ++r) {
+        numeric.emplace_back(rows[r][c].ToNumeric(), static_cast<uint32_t>(r));
+      }
+      EncodeRuns(&numeric, std::less<double>(), &ids, &heads);
+    } else if (!has_null && column.type == ValueType::kString) {
+      strings.clear();
+      for (size_t r = 0; r < num_rows; ++r) {
+        strings.emplace_back(rows[r][c].AsString(), static_cast<uint32_t>(r));
+      }
+      EncodeRuns(&strings, std::less<std::string_view>(), &ids, &heads);
+    } else {
+      // Nulls or an untyped column's mixed cells: Value's own order.
+      cells.clear();
+      for (size_t r = 0; r < num_rows; ++r) {
+        cells.emplace_back(&rows[r][c], static_cast<uint32_t>(r));
+      }
+      EncodeRuns(&cells, [](const Value* a, const Value* b) { return *a < *b; }, &ids,
+                 &heads);
+    }
+    column.dictionary.reserve(heads.size());
+    for (uint32_t row : heads) column.dictionary.push_back(std::move(rows[row][c]));
+    uint32_t max_id = heads.empty() ? 0 : static_cast<uint32_t>(heads.size() - 1);
     if (config.bit_packed_forward_index) {
       column.packed = BitPackedVector(ids, max_id);
     } else {
@@ -434,7 +499,28 @@ constexpr size_t kBloomMinCardinality = 64;
 /// Filter bits per distinct value (2 probes -> ~5% false positives).
 constexpr uint64_t kBloomBitsPerValue = 8;
 
-uint64_t BloomHash(const Value& v) { return Fnv1a64(EncodeRow({v})); }
+template <typename T>
+uint64_t HashBytes(const T& x, uint64_t h) {
+  return Fnv1a64(std::string_view(reinterpret_cast<const char*>(&x), sizeof(x)), h);
+}
+
+/// Fnv1a64(EncodeRow({v})) without building the row: the same bytes (field
+/// count 1 as a host-order u32, the type tag, then the body) are fed
+/// straight into the hash.
+uint64_t BloomHash(const Value& v) {
+  uint64_t h = HashBytes(uint32_t{1}, kFnv1a64Offset);
+  h = HashBytes(static_cast<char>(v.type()), h);
+  switch (v.type()) {
+    case ValueType::kNull: return h;
+    case ValueType::kInt: return HashBytes(static_cast<uint64_t>(v.AsInt()), h);
+    case ValueType::kDouble: return HashBytes(v.AsDouble(), h);
+    case ValueType::kString:
+      h = HashBytes(static_cast<uint32_t>(v.AsString().size()), h);
+      return Fnv1a64(v.AsString(), h);
+    case ValueType::kBool: return HashBytes(static_cast<char>(v.AsBool() ? 1 : 0), h);
+  }
+  return h;
+}
 
 }  // namespace
 

@@ -112,8 +112,11 @@ class SegmentPruneInfo {
 class Segment {
  public:
   /// Builds a segment; rows are reordered if a sorted column is configured.
+  /// On success `rows` is consumed (cells are coerced in place and the
+  /// dictionary entries moved out of it; clear it afterwards). On error it
+  /// is left untouched, so a failed seal keeps its consuming buffer.
   static Result<std::shared_ptr<Segment>> Build(std::string name, RowSchema schema,
-                                                std::vector<Row> rows,
+                                                std::vector<Row>&& rows,
                                                 SegmentIndexConfig config);
 
   const std::string& name() const { return name_; }

@@ -91,14 +91,7 @@ Result<std::shared_ptr<Segment>> RealtimePartition::SealIfNeeded(bool force) {
     index_config.star_tree_dimensions.clear();
     index_config.star_tree_metrics.clear();
   }
-  Result<std::shared_ptr<Segment>> built =
-      Segment::Build(segment_name, config_.schema, buffer_, index_config);
-  if (!built.ok()) return built.status();
-
-  std::shared_ptr<std::vector<bool>> validity;
-  if (config_.upsert_enabled) {
-    validity = std::make_shared<std::vector<bool>>(buffer_validity_);
-  }
+  // Time bounds come from the raw cells, before Build consumes the buffer.
   TimestampMs min_time = INT64_MIN, max_time = INT64_MAX;
   if (time_index_ >= 0) {
     min_time = INT64_MAX;
@@ -109,6 +102,15 @@ Result<std::shared_ptr<Segment>> RealtimePartition::SealIfNeeded(bool force) {
       min_time = std::min(min_time, t);
       max_time = std::max(max_time, t);
     }
+  }
+  // The buffer moves into Build (no copy); a failed build leaves it intact.
+  Result<std::shared_ptr<Segment>> built =
+      Segment::Build(segment_name, config_.schema, std::move(buffer_), index_config);
+  if (!built.ok()) return built.status();
+
+  std::shared_ptr<std::vector<bool>> validity;
+  if (config_.upsert_enabled) {
+    validity = std::make_shared<std::vector<bool>>(buffer_validity_);
   }
   SealedSegment sealed;
   sealed.handle = SegmentHandle::Create(

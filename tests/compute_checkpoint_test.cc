@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/fault_injector.h"
 #include "compute/checkpoint.h"
 #include "storage/object_store.h"
 
@@ -118,6 +119,65 @@ TEST(CheckpointStoreTest, CorruptCheckpointBlobSurfacesCorruption) {
   ASSERT_TRUE(checkpoints.Save(SampleData()).ok());
   ASSERT_TRUE(store.Put("checkpoints/job1/chk-7", "shredded").ok());
   EXPECT_TRUE(checkpoints.LoadLatest().status().IsCorruption());
+}
+
+CheckpointData Numbered(int64_t sequence, const std::string& offset) {
+  CheckpointData data;
+  data.sequence = sequence;
+  data.entries["source.0.0"] = offset;
+  return data;
+}
+
+TEST(CheckpointStoreTest, RetainsOnlyTheNewestTwoCheckpoints) {
+  storage::InMemoryObjectStore store;
+  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  for (int64_t seq = 1; seq <= 10; ++seq) {
+    ASSERT_TRUE(checkpoints.Save(Numbered(seq, std::to_string(seq * 100))).ok());
+  }
+  EXPECT_EQ(store.List("checkpoints/job1/chk-"),
+            (std::vector<std::string>{"checkpoints/job1/chk-10", "checkpoints/job1/chk-9"}));
+  Result<CheckpointData> latest = checkpoints.LoadLatest();
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest.value().sequence, 10);
+  EXPECT_EQ(latest.value().entries.at("source.0.0"), "1000");
+
+  // A rescale rewrites state through a second store handle: first the same
+  // sequence again, then the next one (as JobManager does). Both restore.
+  CheckpointStore rescale(&store, "checkpoints", "job1");
+  ASSERT_TRUE(rescale.Save(Numbered(10, "rebucketed")).ok());
+  EXPECT_EQ(store.List("checkpoints/job1/chk-").size(), 2u);
+  ASSERT_TRUE(checkpoints.LoadLatest().ok());
+  EXPECT_EQ(checkpoints.LoadLatest().value().entries.at("source.0.0"), "rebucketed");
+  ASSERT_TRUE(rescale.Save(Numbered(11, "rescaled")).ok());
+  EXPECT_EQ(store.List("checkpoints/job1/chk-"),
+            (std::vector<std::string>{"checkpoints/job1/chk-10", "checkpoints/job1/chk-11"}));
+  Result<CheckpointData> restored = checkpoints.LoadLatest();
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value().sequence, 11);
+  EXPECT_EQ(restored.value().entries.at("source.0.0"), "rescaled");
+  // Another job's checkpoints are never touched.
+  CheckpointStore other(&store, "checkpoints", "job10");
+  ASSERT_TRUE(other.Save(Numbered(1, "x")).ok());
+  ASSERT_TRUE(checkpoints.Save(Numbered(12, "y")).ok());
+  EXPECT_TRUE(store.Exists("checkpoints/job10/chk-1"));
+}
+
+TEST(CheckpointStoreTest, FailedRetentionDeleteIsRetriedOnTheNextSave) {
+  common::FaultInjector faults;
+  storage::InMemoryObjectStore store;
+  store.SetFaultInjector(&faults);
+  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  common::FaultRule down;
+  down.down = true;
+  faults.SetRule("store.delete", down);
+  for (int64_t seq = 1; seq <= 4; ++seq) {
+    ASSERT_TRUE(checkpoints.Save(Numbered(seq, "o")).ok());  // deletes fail quietly
+  }
+  EXPECT_EQ(store.List("checkpoints/job1/chk-").size(), 4u);
+  faults.ClearRule("store.delete");
+  ASSERT_TRUE(checkpoints.Save(Numbered(5, "o")).ok());
+  EXPECT_EQ(store.List("checkpoints/job1/chk-"),
+            (std::vector<std::string>{"checkpoints/job1/chk-4", "checkpoints/job1/chk-5"}));
 }
 
 }  // namespace

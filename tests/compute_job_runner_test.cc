@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <set>
 
+#include "common/fault_injector.h"
 #include "stream/broker.h"
 
 namespace uberrt::compute {
@@ -285,6 +287,96 @@ TEST_F(JobRunnerTest, CorruptMessagesCountedNotFatal) {
   ASSERT_TRUE(runner.AwaitTermination(10000).ok());
   EXPECT_EQ(runner.DecodeErrors(), 1);
   EXPECT_EQ(results.size(), 1u);
+}
+
+/// Every fare (unique per input row) the sink topic holds, one entry per copy.
+std::multiset<int64_t> SinkFares(Broker* broker, const std::string& topic) {
+  std::multiset<int64_t> fares;
+  for (int32_t p = 0; p < broker->NumPartitions(topic).value(); ++p) {
+    Result<std::vector<Message>> messages = broker->Fetch(topic, p, 0, 1 << 20);
+    EXPECT_TRUE(messages.ok());
+    if (!messages.ok()) continue;
+    for (const Message& m : messages.value()) {
+      Result<Row> row = DecodeRow(m.value);
+      EXPECT_TRUE(row.ok());
+      if (row.ok()) fares.insert(static_cast<int64_t>(row.value()[1].ToNumeric()));
+    }
+  }
+  return fares;
+}
+
+TEST_F(JobRunnerTest, FailedSinkFlushesAreRetriedExactlyOnce) {
+  constexpr int kRows = 2000;
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(
+        broker_->Produce("trips", TripMessage("hex" + std::to_string(i % 7), i, 1000 + i))
+            .ok());
+  }
+  TopicConfig out_config;
+  out_config.num_partitions = 2;
+  ASSERT_TRUE(broker_->CreateTopic("trips_out", out_config).ok());
+  // The sink's first five batch appends fail; the source only fetches.
+  common::FaultInjector faults;
+  common::FaultRule flaky;
+  flaky.error_probability = 1.0;
+  flaky.max_triggers = 5;
+  faults.SetRule("broker.produce.cluster1", flaky);
+  broker_->SetFaultInjector(&faults);
+
+  JobGraph graph("sink_retry");
+  SourceSpec source;
+  source.topic = "trips";
+  source.schema = TripSchema();
+  source.time_field = "ts";
+  graph.AddSource(source).SinkToTopic("trips_out");
+  MetricsRegistry metrics;
+  JobRunnerOptions options;
+  options.metrics = &metrics;
+  JobRunner runner(graph, broker_.get(), store_.get(), options);
+  ASSERT_TRUE(runner.Start().ok());
+  runner.RequestFinish();
+  ASSERT_TRUE(runner.AwaitTermination(10000).ok());
+
+  EXPECT_EQ(faults.metrics()->GetCounter("faults.injected")->value(), 5);
+  const int64_t errors = metrics.GetCounter("compute.sink_produce_errors")->value();
+  EXPECT_GE(errors, 1);
+  EXPECT_LE(errors, 5);
+  std::multiset<int64_t> fares = SinkFares(broker_.get(), "trips_out");
+  ASSERT_EQ(fares.size(), static_cast<size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) EXPECT_EQ(fares.count(i), 1u) << "fare " << i;
+}
+
+TEST_F(JobRunnerTest, UndeliveredSinkRowsHoldTheJobNotCaughtUp) {
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(broker_->Produce("trips", TripMessage("h", i, 1000 + i)).ok());
+  }
+  TopicConfig out_config;
+  out_config.num_partitions = 2;
+  ASSERT_TRUE(broker_->CreateTopic("trips_out", out_config).ok());
+  common::FaultInjector faults;
+  broker_->SetFaultInjector(&faults);
+  faults.SetDown("broker.produce.cluster1", true);
+
+  JobGraph graph("sink_outage");
+  SourceSpec source;
+  source.topic = "trips";
+  source.schema = TripSchema();
+  source.time_field = "ts";
+  graph.AddSource(source).SinkToTopic("trips_out");
+  JobRunner runner(graph, broker_.get(), store_.get());
+  ASSERT_TRUE(runner.Start().ok());
+  // Rows the sink cannot append stay in flight: the job is not caught up,
+  // so a checkpoint cannot pass them by.
+  EXPECT_TRUE(runner.WaitUntilCaughtUp(200).IsTimeout());
+  EXPECT_TRUE(SinkFares(broker_.get(), "trips_out").empty());
+
+  faults.SetDown("broker.produce.cluster1", false);
+  ASSERT_TRUE(runner.WaitUntilCaughtUp(10000).ok());
+  ASSERT_TRUE(runner.TriggerCheckpoint().ok());
+  std::multiset<int64_t> fares = SinkFares(broker_.get(), "trips_out");
+  EXPECT_EQ(fares.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(fares.count(i), 1u) << "fare " << i;
+  runner.Cancel();
 }
 
 }  // namespace

@@ -324,7 +324,7 @@ TEST(EsLikeStoreTest, FootprintExceedsColumnarSegment) {
     es.Ingest(row).ok();
     rows.push_back(std::move(row));
   }
-  Result<std::shared_ptr<Segment>> pinot = Segment::Build("s", schema, rows, {});
+  Result<std::shared_ptr<Segment>> pinot = Segment::Build("s", schema, std::move(rows), {});
   ASSERT_TRUE(pinot.ok());
   // The Section 4.3 footprint ordering: ES-like memory and disk are larger.
   EXPECT_GT(es.MemoryBytes(), pinot.value()->MemoryBytes());
