@@ -3,7 +3,8 @@
 #   1. tier-1: plain build + the full ctest suite (must stay green), then
 #      the Figure 1 benchmark's reference checks (perfbench/run.py --all).
 #   2. sanitizers: the concurrency stress suites plus the vectorized/scalar
-#      parity fuzz and the segment-build parity digests under
+#      parity fuzz, the segment-build parity digests and the star-tree
+#      parity fuzz under
 #      AddressSanitizer and ThreadSanitizer — the
 #      enforcement mechanism for the lifetime and lock rules in DESIGN.md §5
 #      (broker topic ownership, OLAP table ownership, the shared executor /
@@ -34,7 +35,7 @@ ctest --test-dir build --output-on-failure -j
 echo "== Figure 1 reference checks (perfbench) =="
 python3 perfbench/run.py --all --seed 1
 
-CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|olap_segment_build_parity_test"
+CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|olap_segment_build_parity_test|olap_star_tree_parity_test"
 for SAN in address thread; do
   echo "== sanitizer gate: ${SAN} =="
   cmake -B "build-${SAN}" -S . -DUBERRT_SANITIZE="${SAN}"
@@ -42,7 +43,8 @@ for SAN in address thread; do
     common_executor_test stream_log_test stream_broker_concurrency_test \
     olap_cluster_concurrency_test chaos_soak_test olap_vectorized_parity_test \
     olap_morsel_parity_test olap_upsert_recovery_test olap_tiering_test \
-    allactive_drill_test compute_batch_parity_test olap_segment_build_parity_test
+    allactive_drill_test compute_batch_parity_test olap_segment_build_parity_test \
+    olap_star_tree_parity_test
   ctest --test-dir "build-${SAN}" --output-on-failure -R "^(${CONCURRENCY_SUITES})$"
 done
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
+#include <unordered_map>
 
 #include "common/hash.h"
 
@@ -55,44 +57,57 @@ Result<OlapResult> MergeAndFinalize(const OlapQuery& query,
   result.schema = RowSchema(fields);
 
   if (!query.aggregations.empty()) {
-    size_t num_groups = query.group_by.size();
-    struct GroupEntry {
-      Row key_values;
-      std::vector<AggAccumulator> accs;
-    };
-    std::map<std::string, GroupEntry> groups;
+    const size_t num_groups = query.group_by.size();
+    const size_t num_aggs = query.aggregations.size();
+    // Typed value encoding of the group values (ToString-based keys
+    // conflated values across types, string "1" vs int 1, and embedded
+    // NULs), built in one reused scratch string and looked up by hash. Each
+    // group folds its partials in input order; groups are emitted sorted by
+    // encoded key, the order an ordered map over the same bytes gives.
+    std::unordered_map<std::string, size_t> index;
+    std::vector<const std::string*> keys;
+    std::vector<Row> key_values;
+    std::vector<AggAccumulator> accs;  // num_aggs per group
+    std::string scratch;
     for (const Row& partial : partial_rows) {
-      if (partial.size() != num_groups + query.aggregations.size() * kAccumulatorFields) {
+      if (partial.size() != num_groups + num_aggs * kAccumulatorFields) {
         return Status::Internal("partial row width mismatch");
       }
-      // Typed row encoding: ToString-based keys conflated values across
-      // types (string "1" vs int 1) and embedded NULs.
-      Row key_prefix(partial.begin(), partial.begin() + static_cast<long>(num_groups));
-      std::string key = EncodeRow(key_prefix);
-      GroupEntry& entry = groups[key];
-      if (entry.accs.empty()) {
-        entry.accs.resize(query.aggregations.size());
-        entry.key_values.assign(partial.begin(),
+      scratch.clear();
+      for (size_t g = 0; g < num_groups; ++g) AppendValue(&scratch, partial[g]);
+      auto it = index.find(scratch);
+      if (it == index.end()) {
+        it = index.emplace(scratch, keys.size()).first;
+        keys.push_back(&it->first);
+        key_values.emplace_back(partial.begin(),
                                 partial.begin() + static_cast<long>(num_groups));
+        accs.resize(accs.size() + num_aggs);
       }
-      for (size_t a = 0; a < query.aggregations.size(); ++a) {
+      AggAccumulator* group = &accs[it->second * num_aggs];
+      for (size_t a = 0; a < num_aggs; ++a) {
         Result<AggAccumulator> acc =
             ReadAccumulator(partial, num_groups + a * kAccumulatorFields);
         if (!acc.ok()) return acc.status();
-        entry.accs[a].Merge(acc.value());
+        group[a].Merge(acc.value());
       }
     }
     // Global aggregation with zero matching rows still returns one row of
     // zero-valued aggregates (COUNT() = 0), as SQL does.
-    if (groups.empty() && num_groups == 0) {
-      GroupEntry empty;
-      empty.accs.resize(query.aggregations.size());
-      groups.emplace("", std::move(empty));
+    if (keys.empty() && num_groups == 0) {
+      key_values.emplace_back();
+      accs.resize(num_aggs);
+      keys.push_back(&scratch);
     }
-    for (auto& [key, entry] : groups) {
-      Row row = std::move(entry.key_values);
-      for (size_t a = 0; a < query.aggregations.size(); ++a) {
-        row.push_back(entry.accs[a].Finalize(query.aggregations[a].kind));
+    std::vector<size_t> order(keys.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&keys](size_t a, size_t b) { return *keys[a] < *keys[b]; });
+    result.rows.reserve(order.size());
+    for (size_t gi : order) {
+      Row row = std::move(key_values[gi]);
+      row.reserve(num_groups + num_aggs);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        row.push_back(accs[gi * num_aggs + a].Finalize(query.aggregations[a].kind));
       }
       result.rows.push_back(std::move(row));
     }
@@ -507,6 +522,9 @@ Result<OlapResult> OlapCluster::Query(const std::string& table,
     OlapQueryStats plan_stats;  // carries segments_pruned
     bool touched = false;
   };
+  // Columns, coerced filter targets and their bloom hashes are resolved
+  // once here, not once per segment.
+  const PreparedQuery prepared(query, t->config.schema);
   std::vector<Morsel> morsels;
   std::vector<ServerPlan> plans(t->servers.size());
   size_t servers_with_work = 0;
@@ -517,7 +535,7 @@ Result<OlapResult> OlapCluster::Query(const std::string& table,
       if (routed_partition >= 0 && partition_id != routed_partition) continue;
       plan.touched = true;
       std::vector<int32_t> units;
-      sp.data->PlanMorsels(query, &units, &plan.plan_stats);
+      sp.data->PlanMorsels(prepared, &units, &plan.plan_stats);
       for (int32_t unit : units) morsels.push_back({sp.data.get(), unit});
     }
     plan.num_morsels = morsels.size() - plan.first_morsel;
@@ -577,7 +595,7 @@ Result<OlapResult> OlapCluster::Query(const std::string& table,
         out.rows.clear();
         out.stats = OlapQueryStats{};
         Result<OlapResult> partial =
-            morsels[m].part->ExecuteMorsel(query, morsels[m].unit, &out.stats);
+            morsels[m].part->ExecuteMorsel(prepared, morsels[m].unit, &out.stats);
         if (!partial.ok()) return partial.status();
         out.rows = std::move(partial.value().rows);
       }

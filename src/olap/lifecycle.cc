@@ -152,7 +152,7 @@ SegmentTier SegmentHandle::tier() const {
   return tier_;
 }
 
-bool SegmentHandle::CanMatch(const FilterPredicate& pred) const {
+bool SegmentHandle::CanMatch(const PreparedPredicate& pred) const {
   std::shared_ptr<Segment> hot;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -94,7 +94,7 @@ class SegmentHandle {
   /// the exact dictionary-backed check; warm/cold consult the resident
   /// SegmentPruneInfo (same min/max/bloom, conservatively no dictionary
   /// backstop) — pruning never requires decoding a demoted segment.
-  bool CanMatch(const FilterPredicate& pred) const;
+  bool CanMatch(const PreparedPredicate& pred) const;
 
   /// Query-path pin: returns the current representation (hot segment, or
   /// the warm lazy segment). Cold triggers a store reload — a promotion to

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <functional>
+#include <numeric>
+#include <ranges>
 #include <string_view>
 #include <utility>
 
@@ -79,26 +82,12 @@ Value CoerceTo(ValueType type, const Value& v) {
 }
 
 /// Big-endian u32: lexicographic order of the encoded bytes equals numeric
-/// order of the ids, so map-keyed group emission matches the vectorized
-/// engine's packed-key sort order exactly.
+/// order of the ids, so the scalar oracle's map-keyed group emission matches
+/// the vectorized engine's packed-key sort order exactly.
 void AppendU32BE(std::string* out, uint32_t v) {
   char buf[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
                  static_cast<char>(v >> 8), static_cast<char>(v)};
   out->append(buf, 4);
-}
-
-uint32_t ReadU32BE(const char* p) {
-  return (static_cast<uint32_t>(static_cast<unsigned char>(p[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 8) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3]));
-}
-
-std::string EncodeIdTuple(const std::vector<uint32_t>& ids, size_t count) {
-  std::string key;
-  key.reserve(count * 4);
-  for (size_t i = 0; i < count; ++i) AppendU32BE(&key, ids[i]);
-  return key;
 }
 
 }  // namespace
@@ -399,57 +388,73 @@ void Segment::BuildIndexes(const SegmentIndexConfig& config) {
     if (idx >= 0) star_metrics_.push_back(idx);
   }
   star_tree_.clear();
-  star_root_ = StarTreeCell{};
   if (star_dims_.empty()) return;
-  star_tree_.resize(star_dims_.size());
-  size_t num_metrics = star_metrics_.size();
-  star_root_.sum.assign(num_metrics, 0);
-  star_root_.min.assign(num_metrics, 0);
-  star_root_.max.assign(num_metrics, 0);
-  std::vector<std::vector<uint32_t>> dim_ids(
-      star_dims_.size(), std::vector<uint32_t>(batch.size()));
-  std::vector<std::vector<uint32_t>> metric_ids(
-      num_metrics, std::vector<uint32_t>(batch.size()));
-  std::vector<uint32_t> ids(star_dims_.size());
-  std::vector<double> metric_values(num_metrics);
-  for (size_t base = 0; base < num_rows_; base += kBatch) {
-    size_t count = std::min(kBatch, num_rows_ - base);
-    for (size_t d = 0; d < star_dims_.size(); ++d) {
-      columns_[static_cast<size_t>(star_dims_[d])].UnpackRange(base, count,
-                                                              dim_ids[d].data());
+  const size_t num_dims = star_dims_.size();
+  const size_t num_metrics = star_metrics_.size();
+  const size_t n = num_rows_;
+  // Dict ids dim-major (dim_ids[d * n + r]); metric values row-major.
+  std::vector<uint32_t> dim_ids(num_dims * n);
+  for (size_t d = 0; d < num_dims; ++d) {
+    columns_[static_cast<size_t>(star_dims_[d])].UnpackRange(0, n, dim_ids.data() + d * n);
+  }
+  std::vector<double> values(num_metrics * n);
+  for (size_t m = 0; m < num_metrics; ++m) {
+    const Column& column = columns_[static_cast<size_t>(star_metrics_[m])];
+    for (size_t base = 0; base < n; base += kBatch) {
+      size_t count = std::min(kBatch, n - base);
+      column.UnpackRange(base, count, batch.data());
+      for (size_t i = 0; i < count; ++i) {
+        values[(base + i) * num_metrics + m] = column.dict_numeric[batch[i]];
+      }
     }
-    for (size_t m = 0; m < num_metrics; ++m) {
-      columns_[static_cast<size_t>(star_metrics_[m])].UnpackRange(
-          base, count, metric_ids[m].data());
+  }
+  // One stable sort of the rows per level puts each cell's rows next to each
+  // other in row order, so every cell folds its rows in the same order the
+  // row-at-a-time map build did: sums stay bitwise identical.
+  std::vector<uint32_t> order(n);
+  star_tree_.resize(num_dims + 1);
+  for (size_t k = 0; k <= num_dims; ++k) {
+    auto prefix_less = [&](uint32_t a, uint32_t b) {
+      for (size_t d = 0; d < k; ++d) {
+        uint32_t x = dim_ids[d * n + a];
+        uint32_t y = dim_ids[d * n + b];
+        if (x != y) return x < y;
+      }
+      return false;
+    };
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), prefix_less);
+    // The root (k == 0) is one cell even with no rows.
+    size_t cells = n == 0 && k == 0 ? 1 : 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (i == 0 || prefix_less(order[i - 1], order[i])) ++cells;
     }
-    for (size_t i = 0; i < count; ++i) {
-      for (size_t d = 0; d < star_dims_.size(); ++d) ids[d] = dim_ids[d][i];
+    StarTreeLevel& level = star_tree_[k];
+    level.ids.resize(cells * k);
+    level.count.assign(cells, 0);
+    level.sum.assign(cells * num_metrics, 0);
+    level.min.assign(cells * num_metrics, 0);
+    level.max.assign(cells * num_metrics, 0);
+    size_t cell = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = order[i];
+      if (i > 0 && prefix_less(order[i - 1], row)) ++cell;
+      for (size_t d = 0; d < k; ++d) level.ids[cell * k + d] = dim_ids[d * n + row];
+      const double* v = values.data() + static_cast<size_t>(row) * num_metrics;
+      double* sum = level.sum.data() + cell * num_metrics;
+      double* lo = level.min.data() + cell * num_metrics;
+      double* hi = level.max.data() + cell * num_metrics;
       for (size_t m = 0; m < num_metrics; ++m) {
-        const Column& mc = columns_[static_cast<size_t>(star_metrics_[m])];
-        metric_values[m] = mc.dict_numeric[metric_ids[m][i]];
-      }
-      auto update = [&](StarTreeCell& cell) {
-        if (cell.sum.empty()) {
-          cell.sum.assign(num_metrics, 0);
-          cell.min.assign(num_metrics, 0);
-          cell.max.assign(num_metrics, 0);
+        if (level.count[cell] == 0) {
+          lo[m] = v[m];
+          hi[m] = v[m];
+        } else {
+          lo[m] = std::min(lo[m], v[m]);
+          hi[m] = std::max(hi[m], v[m]);
         }
-        for (size_t m = 0; m < num_metrics; ++m) {
-          if (cell.count == 0) {
-            cell.min[m] = metric_values[m];
-            cell.max[m] = metric_values[m];
-          } else {
-            cell.min[m] = std::min(cell.min[m], metric_values[m]);
-            cell.max[m] = std::max(cell.max[m], metric_values[m]);
-          }
-          cell.sum[m] += metric_values[m];
-        }
-        ++cell.count;
-      };
-      update(star_root_);
-      for (size_t k = 1; k <= star_dims_.size(); ++k) {
-        update(star_tree_[k - 1][EncodeIdTuple(ids, k)]);
+        sum[m] += v[m];
       }
+      ++level.count[cell];
     }
   }
 }
@@ -479,14 +484,27 @@ int64_t Segment::MemoryBytes() const {
     bytes += 16 + static_cast<int64_t>(zone.bloom.capacity() * sizeof(uint64_t)) +
              ValueMemoryBytes(zone.min) + ValueMemoryBytes(zone.max);
   }
-  size_t num_metrics = star_metrics_.size();
-  for (const auto& level : star_tree_) {
-    for (const auto& [key, cell] : level) {
-      bytes += static_cast<int64_t>(key.size()) + 48 +
-               static_cast<int64_t>(num_metrics * 3 * sizeof(double));
-    }
-  }
+  return bytes + StarTreeMemoryBytes();
+}
+
+int64_t Segment::StarTreeLevel::MemoryBytes() const {
+  return static_cast<int64_t>(sizeof(StarTreeLevel) + ids.capacity() * sizeof(uint32_t) +
+                              count.capacity() * sizeof(int64_t) +
+                              (sum.capacity() + min.capacity() + max.capacity()) *
+                                  sizeof(double));
+}
+
+int64_t Segment::StarTreeMemoryBytes() const {
+  int64_t bytes = 0;
+  for (const StarTreeLevel& level : star_tree_) bytes += level.MemoryBytes();
   return bytes;
+}
+
+std::vector<size_t> Segment::StarTreeCellCounts() const {
+  std::vector<size_t> cells;
+  cells.reserve(star_tree_.size());
+  for (const StarTreeLevel& level : star_tree_) cells.push_back(level.count.size());
+  return cells;
 }
 
 // --- Zone maps & bloom pruning ---------------------------------------------
@@ -563,22 +581,44 @@ void Segment::BuildZoneMaps(bool keep_blooms) {
   }
 }
 
-bool Segment::CanMatch(const FilterPredicate& pred) const {
-  int idx = ColumnIndex(pred.column);
-  if (idx < 0) return true;  // unknown column: execution reports the error
+PreparedQuery::PreparedQuery(const OlapQuery& q, const RowSchema& schema)
+    : query(q), num_fields(schema.NumFields()) {
+  filters.reserve(q.filters.size());
+  for (const FilterPredicate& pred : q.filters) {
+    PreparedPredicate p;
+    p.pred = &pred;
+    p.column = schema.FieldIndex(pred.column);
+    p.target = p.column < 0
+                   ? pred.value
+                   : CoerceTo(schema.fields()[static_cast<size_t>(p.column)].type, pred.value);
+    if (pred.op == FilterPredicate::Op::kEq) p.bloom_hash = BloomHash(p.target);
+    filters.push_back(std::move(p));
+  }
+  group_by.reserve(q.group_by.size());
+  for (const std::string& g : q.group_by) group_by.push_back(schema.FieldIndex(g));
+  aggregations.reserve(q.aggregations.size());
+  for (const OlapAggregation& agg : q.aggregations) {
+    aggregations.push_back(agg.column.empty() ? -1 : schema.FieldIndex(agg.column));
+  }
+}
+
+bool Segment::CanMatch(const PreparedPredicate& pred) const {
+  const int idx = pred.column;
+  // Unknown column: execution reports the error.
+  if (idx < 0 || static_cast<size_t>(idx) >= columns_.size()) return true;
   if (zones_.size() != columns_.size()) return true;
   const Column& column = columns_[static_cast<size_t>(idx)];
   const ZoneMap& zone = zones_[static_cast<size_t>(idx)];
   if (column.dictionary.empty()) return false;  // no rows, nothing matches
-  // Coerce exactly like PredicateIdRange so pruning can never disagree with
-  // execution.
-  Value target = CoerceTo(column.type, pred.value);
+  // The target was coerced exactly like execution coerces it, so pruning
+  // can never disagree with execution.
+  const Value& target = pred.target;
   const Value& lo = zone.min;
   const Value& hi = zone.max;
-  switch (pred.op) {
+  switch (pred.pred->op) {
     case FilterPredicate::Op::kEq: {
       if (target < lo || hi < target) return false;
-      if (!zone.MayContain(BloomHash(target))) return false;
+      if (!zone.MayContain(pred.bloom_hash)) return false;
       // The dictionary is resident, so back the bloom's "maybe" with the
       // exact membership answer.
       return std::binary_search(column.dictionary.begin(),
@@ -601,27 +641,24 @@ bool Segment::CanMatch(const FilterPredicate& pred) const {
 
 // --- Detached prune info (warm/cold tiers) ----------------------------------
 
-bool SegmentPruneInfo::CanMatch(const FilterPredicate& pred) const {
-  const ColumnPrune* col = nullptr;
-  for (const ColumnPrune& c : columns_) {
-    if (c.name == pred.column) {
-      col = &c;
-      break;
-    }
+bool SegmentPruneInfo::CanMatch(const PreparedPredicate& pred) const {
+  // Columns are in schema order, so the prepared index addresses them.
+  if (pred.column < 0 || static_cast<size_t>(pred.column) >= columns_.size()) {
+    return true;  // unknown column: execution reports it
   }
-  if (col == nullptr) return true;  // unknown column: execution reports it
+  const ColumnPrune* col = &columns_[static_cast<size_t>(pred.column)];
   if (!col->any_rows) return false;
-  Value target = CoerceTo(col->type, pred.value);
+  const Value& target = pred.target;
   const Value& lo = col->min;
   const Value& hi = col->max;
-  switch (pred.op) {
+  switch (pred.pred->op) {
     case FilterPredicate::Op::kEq: {
       if (target < lo || hi < target) return false;
       // Bloom-only membership — no resident dictionary to back the "maybe"
       // with an exact answer, so a false positive scans a segment the hot
       // check would have pruned; never the reverse.
       if (!col->bloom.empty()) {
-        uint64_t hash = BloomHash(target);
+        uint64_t hash = pred.bloom_hash;
         uint64_t h2 = (hash >> 32) | 1;
         for (uint64_t probe = 0; probe < 2; ++probe) {
           uint64_t bit = (hash + probe * h2) & col->bloom_mask;
@@ -679,8 +716,7 @@ SegmentPruneInfo Segment::BuildPruneInfo() const {
 // --- Filtering -------------------------------------------------------------
 
 Result<std::pair<uint32_t, uint32_t>> Segment::PredicateIdRange(
-    const Column& column, const FilterPredicate& pred) const {
-  Value target = CoerceTo(column.type, pred.value);
+    const Column& column, FilterPredicate::Op op, const Value& target) const {
   auto lo_it = std::lower_bound(column.dictionary.begin(), column.dictionary.end(),
                                 target);
   auto hi_it = std::upper_bound(column.dictionary.begin(), column.dictionary.end(),
@@ -688,7 +724,7 @@ Result<std::pair<uint32_t, uint32_t>> Segment::PredicateIdRange(
   uint32_t lo = static_cast<uint32_t>(lo_it - column.dictionary.begin());
   uint32_t hi = static_cast<uint32_t>(hi_it - column.dictionary.begin());
   uint32_t n = static_cast<uint32_t>(column.dictionary.size());
-  switch (pred.op) {
+  switch (op) {
     case FilterPredicate::Op::kEq: return std::make_pair(lo, hi);
     case FilterPredicate::Op::kLt: return std::make_pair(0u, lo);
     case FilterPredicate::Op::kLe: return std::make_pair(0u, hi);
@@ -727,7 +763,8 @@ Result<std::vector<uint32_t>> Segment::FilterRows(
       scan_preds.push_back(&pred);
       continue;
     }
-    Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, pred);
+    Result<std::pair<uint32_t, uint32_t>> range =
+        PredicateIdRange(column, pred.op, CoerceTo(column.type, pred.value));
     if (!range.ok()) return range.status();
     auto [lo, hi] = range.value();
     if (lo >= hi) return std::vector<uint32_t>{};  // no dictionary match
@@ -778,7 +815,8 @@ Result<std::vector<uint32_t>> Segment::FilterRows(
         const Value& v = column.dictionary[id];
         if (!(v < target) && !(target < v)) return false;  // equal -> excluded
       } else {
-        Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, *pred);
+        Result<std::pair<uint32_t, uint32_t>> range =
+            PredicateIdRange(column, pred->op, CoerceTo(column.type, pred->value));
         auto [lo, hi] = range.value();
         if (id < lo || id >= hi) return false;
       }
@@ -809,124 +847,132 @@ Result<std::vector<uint32_t>> Segment::FilterRows(
 
 // --- Star-tree query path --------------------------------------------------
 
-bool Segment::TryStarTree(const OlapQuery& query, const std::vector<bool>* validity,
-                          OlapResult* result) const {
+bool Segment::TryStarTree(const PreparedQuery& prepared,
+                          const std::vector<bool>* validity, OlapResult* result) const {
+  const OlapQuery& query = prepared.query;
   if (star_dims_.empty() || validity != nullptr) return false;
   if (query.aggregations.empty()) return false;
   // Which star dims does the query touch?
-  auto dim_position = [&](const std::string& name) {
-    int idx = ColumnIndex(name);
+  auto dim_position = [&](int idx) {
     for (size_t d = 0; d < star_dims_.size(); ++d) {
       if (star_dims_[d] == idx) return static_cast<int>(d);
     }
     return -1;
   };
   size_t max_prefix = 0;
-  std::vector<std::pair<int, Value>> eq_filters;  // dim position -> value
-  for (const FilterPredicate& pred : query.filters) {
-    if (pred.op != FilterPredicate::Op::kEq) return false;
+  for (const PreparedPredicate& pred : prepared.filters) {
+    if (pred.pred->op != FilterPredicate::Op::kEq) return false;
     int pos = dim_position(pred.column);
     if (pos < 0) return false;
-    eq_filters.emplace_back(pos, pred.value);
     max_prefix = std::max(max_prefix, static_cast<size_t>(pos) + 1);
   }
   std::vector<int> group_positions;
-  for (const std::string& g : query.group_by) {
-    int pos = dim_position(g);
+  group_positions.reserve(prepared.group_by.size());
+  for (int idx : prepared.group_by) {
+    int pos = dim_position(idx);
     if (pos < 0) return false;
     group_positions.push_back(pos);
     max_prefix = std::max(max_prefix, static_cast<size_t>(pos) + 1);
   }
   // Aggregations must be answerable from the cube metrics.
-  std::vector<int> metric_slot(query.aggregations.size(), -1);
-  for (size_t a = 0; a < query.aggregations.size(); ++a) {
-    const OlapAggregation& agg = query.aggregations[a];
-    if (agg.kind == OlapAggregation::Kind::kCount) continue;
-    int idx = ColumnIndex(agg.column);
-    bool found = false;
+  const size_t num_aggs = query.aggregations.size();
+  std::vector<int> metric_slot(num_aggs, -1);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    if (query.aggregations[a].kind == OlapAggregation::Kind::kCount) continue;
     for (size_t m = 0; m < star_metrics_.size(); ++m) {
-      if (star_metrics_[m] == idx) {
+      if (star_metrics_[m] == prepared.aggregations[a]) {
         metric_slot[a] = static_cast<int>(m);
-        found = true;
         break;
       }
     }
-    if (!found) return false;
+    if (metric_slot[a] < 0) return false;
   }
 
-  // Resolve EQ filter values to dict ids; a miss means zero matching rows.
-  std::vector<std::pair<int, uint32_t>> id_filters;
-  for (const auto& [pos, value] : eq_filters) {
-    const Column& column = columns_[static_cast<size_t>(star_dims_[static_cast<size_t>(pos)])];
-    Value target = CoerceTo(column.type, value);
-    auto lo = std::lower_bound(column.dictionary.begin(), column.dictionary.end(), target);
-    auto hi = std::upper_bound(column.dictionary.begin(), column.dictionary.end(), target);
-    if (lo == hi) {
-      // No rows: produce empty/zero result.
-      result->rows.clear();
-      return true;
+  // Resolve Eq filters to one dict id per dim; a value missing from the
+  // dictionary, or two different values on one dim, means zero rows.
+  result->rows.clear();
+  constexpr int64_t kAny = -1;
+  std::vector<int64_t> pinned(max_prefix, kAny);
+  for (const PreparedPredicate& pred : prepared.filters) {
+    const size_t pos = static_cast<size_t>(dim_position(pred.column));
+    const Column& column = columns_[static_cast<size_t>(star_dims_[pos])];
+    auto it = std::lower_bound(column.dictionary.begin(), column.dictionary.end(),
+                               pred.target);
+    if (it == column.dictionary.end() || pred.target < *it) return true;
+    const int64_t id = it - column.dictionary.begin();
+    if (pinned[pos] != kAny && pinned[pos] != id) return true;
+    pinned[pos] = id;
+  }
+
+  // Cells are sorted by id tuple, so the cells whose leading dims are all
+  // pinned form one contiguous run: binary-search it, scan only it.
+  const StarTreeLevel& level = star_tree_[max_prefix];
+  const size_t width = max_prefix;
+  const size_t num_cells = level.count.size();
+  size_t pinned_prefix = 0;
+  while (pinned_prefix < width && pinned[pinned_prefix] != kAny) ++pinned_prefix;
+  auto compare_prefix = [&](size_t cell) {
+    const uint32_t* ids = level.ids.data() + cell * width;
+    for (size_t d = 0; d < pinned_prefix; ++d) {
+      const auto want = static_cast<uint32_t>(pinned[d]);
+      if (ids[d] != want) return ids[d] < want ? -1 : 1;
     }
-    id_filters.emplace_back(pos, static_cast<uint32_t>(lo - column.dictionary.begin()));
+    return 0;
+  };
+  const auto run = std::ranges::equal_range(std::views::iota(size_t{0}, num_cells), 0,
+                                            std::less<>(), compare_prefix);
+  std::vector<uint32_t> cells;
+  for (size_t cell : run) {
+    const uint32_t* ids = level.ids.data() + cell * width;
+    bool match = true;
+    for (size_t d = pinned_prefix; d < width && match; ++d) {
+      match = pinned[d] == kAny || ids[d] == static_cast<uint32_t>(pinned[d]);
+    }
+    if (match) cells.push_back(static_cast<uint32_t>(cell));
   }
 
-  // Aggregate cells from the chosen cube level.
-  struct GroupEntry {
-    Row key_values;
-    std::vector<AggAccumulator> accs;
-  };
-  std::map<std::string, GroupEntry> groups;
-  auto fold_cell = [&](const std::vector<uint32_t>& prefix_ids, const StarTreeCell& cell) {
-    std::string group_key;
-    Row key_values;
+  // Groups are emitted in group-id tuple order, each folding its cells in
+  // cell order. The scan order already is group order whenever the group
+  // dims follow the pinned prefix (the dashboard shape), so sort only if not.
+  auto group_less = [&](uint32_t a, uint32_t b) {
     for (int pos : group_positions) {
-      uint32_t id = prefix_ids[static_cast<size_t>(pos)];
-      AppendU32BE(&group_key, id);
+      uint32_t x = level.ids[a * width + static_cast<size_t>(pos)];
+      uint32_t y = level.ids[b * width + static_cast<size_t>(pos)];
+      if (x != y) return x < y;
+    }
+    return false;
+  };
+  if (!std::is_sorted(cells.begin(), cells.end(), group_less)) {
+    std::stable_sort(cells.begin(), cells.end(), group_less);
+  }
+  std::vector<AggAccumulator> accs(num_aggs);
+  const size_t num_metrics = star_metrics_.size();
+  result->rows.reserve(cells.size());  // at most one group per cell
+  for (size_t i = 0; i < cells.size();) {
+    const uint32_t first = cells[i];
+    std::fill(accs.begin(), accs.end(), AggAccumulator{});
+    for (; i < cells.size() && !group_less(first, cells[i]); ++i) {
+      const size_t cell = cells[i];
+      for (size_t a = 0; a < num_aggs; ++a) {
+        AggAccumulator partial;
+        partial.count = level.count[cell];
+        if (metric_slot[a] >= 0) {
+          const size_t slot = cell * num_metrics + static_cast<size_t>(metric_slot[a]);
+          partial.sum = level.sum[slot];
+          partial.min = level.min[slot];
+          partial.max = level.max[slot];
+        }
+        accs[a].Merge(partial);
+      }
+    }
+    Row row;
+    row.reserve(group_positions.size() + num_aggs * kAccumulatorFields);
+    for (int pos : group_positions) {
       const Column& column =
           columns_[static_cast<size_t>(star_dims_[static_cast<size_t>(pos)])];
-      key_values.push_back(column.dictionary[id]);
+      row.push_back(column.dictionary[level.ids[first * width + static_cast<size_t>(pos)]]);
     }
-    GroupEntry& entry = groups[group_key];
-    if (entry.accs.empty()) {
-      entry.key_values = std::move(key_values);
-      entry.accs.resize(query.aggregations.size());
-    }
-    for (size_t a = 0; a < query.aggregations.size(); ++a) {
-      AggAccumulator partial;
-      partial.count = cell.count;
-      int slot = metric_slot[a];
-      if (slot >= 0) {
-        partial.sum = cell.sum[static_cast<size_t>(slot)];
-        partial.min = cell.min[static_cast<size_t>(slot)];
-        partial.max = cell.max[static_cast<size_t>(slot)];
-      }
-      entry.accs[a].Merge(partial);
-    }
-  };
-
-  if (max_prefix == 0) {
-    fold_cell({}, star_root_);
-  } else {
-    const auto& level = star_tree_[max_prefix - 1];
-    std::vector<uint32_t> ids(max_prefix);
-    for (const auto& [key, cell] : level) {
-      for (size_t d = 0; d < max_prefix; ++d) {
-        ids[d] = ReadU32BE(key.data() + d * 4);
-      }
-      bool match = true;
-      for (const auto& [pos, id] : id_filters) {
-        if (ids[static_cast<size_t>(pos)] != id) {
-          match = false;
-          break;
-        }
-      }
-      if (match) fold_cell(ids, cell);
-    }
-  }
-
-  result->rows.clear();
-  for (auto& [key, entry] : groups) {
-    Row row = std::move(entry.key_values);
-    for (const AggAccumulator& acc : entry.accs) AppendAccumulator(&row, acc);
+    for (const AggAccumulator& acc : accs) AppendAccumulator(&row, acc);
     result->rows.push_back(std::move(row));
   }
   return true;
@@ -937,6 +983,16 @@ bool Segment::TryStarTree(const OlapQuery& query, const std::vector<bool>* valid
 Result<OlapResult> Segment::Execute(const OlapQuery& query,
                                     const std::vector<bool>* validity,
                                     OlapQueryStats* stats) const {
+  return Execute(PreparedQuery(query, schema_), validity, stats);
+}
+
+Result<OlapResult> Segment::Execute(const PreparedQuery& prepared,
+                                    const std::vector<bool>* validity,
+                                    OlapQueryStats* stats) const {
+  const OlapQuery& query = prepared.query;
+  if (prepared.num_fields != columns_.size()) {
+    return Status::InvalidArgument("query prepared against another schema");
+  }
   if (lazy_ != nullptr) {
     UBERRT_RETURN_IF_ERROR(EnsureForQuery(query, stats));
   }
@@ -944,12 +1000,12 @@ Result<OlapResult> Segment::Execute(const OlapQuery& query,
   if (query.force_scalar) return ExecuteScalar(query, validity, stats);
   if (!query.aggregations.empty()) {
     OlapResult result;
-    if (TryStarTree(query, validity, &result)) {
+    if (TryStarTree(prepared, validity, &result)) {
       ++stats->star_tree_hits;
       return result;
     }
   }
-  return ExecuteVectorized(query, validity, stats);
+  return ExecuteVectorized(prepared, validity, stats);
 }
 
 Result<OlapResult> Segment::ExecuteScalar(const OlapQuery& query,

@@ -2,7 +2,6 @@
 #define UBERRT_OLAP_SEGMENT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,6 +65,32 @@ struct SegmentIndexConfig {
   bool bit_packed_forward_index = true;
 };
 
+/// One filter predicate resolved once per query against the table schema
+/// (every segment of a table carries that schema): the column index, the
+/// value coerced to the column's type exactly as segment execution coerces
+/// it, and, for equality, the coerced value's bloom hash. Pruning and
+/// execution read these instead of re-resolving, re-coercing and re-hashing
+/// in every segment.
+struct PreparedPredicate {
+  const FilterPredicate* pred = nullptr;
+  int column = -1;  ///< index in the schema; -1 = unknown column
+  Value target;
+  uint64_t bloom_hash = 0;  ///< kEq only
+};
+
+/// The per-query work hoisted out of the per-segment loops: filter, group-by
+/// and aggregate columns resolved once against the schema. Borrows `query`,
+/// which must outlive it.
+struct PreparedQuery {
+  PreparedQuery(const OlapQuery& query, const RowSchema& schema);
+
+  const OlapQuery& query;
+  size_t num_fields = 0;  ///< of the schema it was resolved against
+  std::vector<PreparedPredicate> filters;  ///< parallel to query.filters
+  std::vector<int> group_by;               ///< column per name; -1 = unknown
+  std::vector<int> aggregations;           ///< column per aggregation; -1 = none/unknown
+};
+
 /// Always-resident pruning metadata for a segment whose columns may not be
 /// decoded (warm tier) or not in memory at all (cold tier): per-column
 /// min/max plus the bloom membership words, detached from the segment so
@@ -91,7 +116,7 @@ class SegmentPruneInfo {
       : columns_(std::move(columns)) {}
 
   /// False means no row can satisfy `pred` (safe to skip the segment).
-  bool CanMatch(const FilterPredicate& pred) const;
+  bool CanMatch(const PreparedPredicate& pred) const;
 
   int64_t MemoryBytes() const;
   bool empty() const { return columns_.empty(); }
@@ -141,10 +166,20 @@ class Segment {
   Result<OlapResult> Execute(const OlapQuery& query,
                              const std::vector<bool>* validity,
                              OlapQueryStats* stats) const;
+  /// Same, with the query already resolved against this segment's schema
+  /// (the table's): the per-segment entry of the query path.
+  Result<OlapResult> Execute(const PreparedQuery& prepared,
+                             const std::vector<bool>* validity,
+                             OlapQueryStats* stats) const;
 
   /// Approximate resident memory: dictionaries + forward + inverted +
-  /// star-tree.
+  /// star-tree (the flat cube arrays at their real capacities).
   int64_t MemoryBytes() const;
+  /// The star-tree cube's share of MemoryBytes.
+  int64_t StarTreeMemoryBytes() const;
+  /// Cells per cube level, index = prefix length (level 0 is the single
+  /// root cell); empty without a star-tree.
+  std::vector<size_t> StarTreeCellCounts() const;
 
   /// Zone-map / bloom pruning probe: false means NO row of this segment can
   /// satisfy `pred`, so the whole segment may be skipped without executing.
@@ -153,7 +188,7 @@ class Segment {
   /// compare against the per-column min/max; equality consults the
   /// bloom-style membership filter (high-cardinality columns) or the
   /// dictionary itself.
-  bool CanMatch(const FilterPredicate& pred) const;
+  bool CanMatch(const PreparedPredicate& pred) const;
 
   /// Columnar serialization (dictionaries + packed forward indexes + bloom
   /// filters); inverted/star-tree indexes are rebuilt on load.
@@ -220,12 +255,18 @@ class Segment {
     bool MayContain(uint64_t hash) const;
   };
 
-  /// Star-tree cube node key: prefix length + encoded dict ids.
-  struct StarTreeCell {
+  /// One star-tree cube level: the cells of prefix length k (star dims
+  /// 0..k-1), one per distinct dict-id tuple, sorted lexicographically by
+  /// tuple. Flat arrays: `ids` holds k ids per cell, `count` one value per
+  /// cell, `sum`/`min`/`max` one value per cell per metric.
+  struct StarTreeLevel {
+    std::vector<uint32_t> ids;
+    std::vector<int64_t> count;
     std::vector<double> sum;
     std::vector<double> min;
     std::vector<double> max;
-    int64_t count = 0;
+
+    int64_t MemoryBytes() const;
   };
 
   /// Deferred decode state for DeserializeLazy. `decoded[c]` flips true
@@ -262,14 +303,16 @@ class Segment {
   /// bloom words adopted from a serialized blob instead of rehashing.
   void BuildZoneMaps(bool keep_blooms = false);
   int ColumnIndex(const std::string& name) const { return schema_.FieldIndex(name); }
-  /// Dict-id range [lo, hi) matching the predicate, or empty.
+  /// Dict-id range [lo, hi) of the ids satisfying `op target`, where
+  /// `target` is already coerced to the column's type.
   Result<std::pair<uint32_t, uint32_t>> PredicateIdRange(const Column& column,
-                                                         const FilterPredicate& pred) const;
+                                                         FilterPredicate::Op op,
+                                                         const Value& target) const;
   /// Row ids matching all predicates; `all` set true when unfiltered.
   /// Scalar-oracle path only; the vectorized engine uses BuildSelection.
   Result<std::vector<uint32_t>> FilterRows(const std::vector<FilterPredicate>& preds,
                                            bool* all, int64_t* rows_scanned) const;
-  bool TryStarTree(const OlapQuery& query, const std::vector<bool>* validity,
+  bool TryStarTree(const PreparedQuery& prepared, const std::vector<bool>* validity,
                    OlapResult* result) const;
 
   // --- Vectorized engine (segment_exec.cc) --------------------------------
@@ -277,11 +320,11 @@ class Segment {
   /// servable predicates become bitmap kernels; the rest run as one batched
   /// scan pass. `filter_scanned` reports whether that scan pass examined
   /// rows (it then owns the rows_scanned accounting for this query).
-  Result<SelectionBitmap> BuildSelection(const std::vector<FilterPredicate>& preds,
+  Result<SelectionBitmap> BuildSelection(const std::vector<PreparedPredicate>& preds,
                                          const std::vector<bool>* validity,
                                          bool* filter_scanned,
                                          OlapQueryStats* stats) const;
-  Result<OlapResult> ExecuteVectorized(const OlapQuery& query,
+  Result<OlapResult> ExecuteVectorized(const PreparedQuery& prepared,
                                        const std::vector<bool>* validity,
                                        OlapQueryStats* stats) const;
   /// The seed row-at-a-time engine, kept as the parity oracle.
@@ -301,10 +344,9 @@ class Segment {
   /// Set iff opened via DeserializeLazy; never reset once set.
   mutable std::unique_ptr<LazySource> lazy_;
 
-  // Star-tree: per prefix length k (1..dims), map from encoded id-tuple to
-  // cell; prefix 0 stored as the single `star_root_`.
-  std::vector<std::map<std::string, StarTreeCell>> star_tree_;
-  StarTreeCell star_root_;
+  /// Star-tree cube: star_tree_[k] is the level of prefix length k
+  /// (0..dims); empty when the segment has no star-tree.
+  std::vector<StarTreeLevel> star_tree_;
   std::vector<int> star_dims_;     ///< column indexes of dimensions
   std::vector<int> star_metrics_;  ///< column indexes of metrics
 };

@@ -20,6 +20,10 @@ namespace {
 /// enough that the id/row buffers stay cache-resident.
 constexpr size_t kBatchRows = 1024;
 
+/// Scratch entries a segment's batches need: no batch spans more rows than
+/// the segment has.
+size_t BatchCapacity(size_t num_rows) { return std::min(kBatchRows, num_rows); }
+
 void AppendIdBE(std::string* out, uint32_t v) {
   char buf[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
                  static_cast<char>(v >> 8), static_cast<char>(v)};
@@ -90,7 +94,7 @@ class GroupIndex {
 }  // namespace
 
 Result<SelectionBitmap> Segment::BuildSelection(
-    const std::vector<FilterPredicate>& preds, const std::vector<bool>* validity,
+    const std::vector<PreparedPredicate>& preds, const std::vector<bool>* validity,
     bool* filter_scanned, OlapQueryStats* stats) const {
   *filter_scanned = false;
   SelectionBitmap sel(num_rows_, true);
@@ -128,16 +132,16 @@ Result<SelectionBitmap> Segment::BuildSelection(
     return bits;
   };
 
-  for (const FilterPredicate& pred : preds) {
-    int idx = ColumnIndex(pred.column);
-    if (idx < 0) return Status::InvalidArgument("unknown column: " + pred.column);
+  for (const PreparedPredicate& pred : preds) {
+    const int idx = pred.column;
+    if (idx < 0) return Status::InvalidArgument("unknown column: " + pred.pred->column);
     const Column& column = columns_[static_cast<size_t>(idx)];
-    if (pred.op == FilterPredicate::Op::kNe) {
+    const FilterPredicate::Op op = pred.pred->op;
+    if (op == FilterPredicate::Op::kNe) {
       // The excluded ids are the Eq range of the value; absent from the
       // dictionary means Ne matches every row.
-      FilterPredicate eq = pred;
-      eq.op = FilterPredicate::Op::kEq;
-      Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, eq);
+      Result<std::pair<uint32_t, uint32_t>> range =
+          PredicateIdRange(column, FilterPredicate::Op::kEq, pred.target);
       if (!range.ok()) return range.status();
       auto [lo, hi] = range.value();
       if (lo >= hi) continue;
@@ -152,7 +156,7 @@ Result<SelectionBitmap> Segment::BuildSelection(
       }
       continue;
     }
-    Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, pred);
+    Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, op, pred.target);
     if (!range.ok()) return range.status();
     auto [lo, hi] = range.value();
     if (lo >= hi) {
@@ -177,8 +181,8 @@ Result<SelectionBitmap> Segment::BuildSelection(
   // then adds nothing.
   if (!scan_preds.empty() && num_rows_ > 0) {
     *filter_scanned = true;
-    std::vector<uint32_t> rows(kBatchRows);
-    std::vector<uint32_t> dense(kBatchRows);
+    std::vector<uint32_t> rows(BatchCapacity(num_rows_));
+    std::vector<uint32_t> dense(BatchCapacity(num_rows_));
     for (size_t base = 0; base < num_rows_; base += kBatchRows) {
       size_t hi = std::min(base + kBatchRows, num_rows_);
       size_t live = sel.Extract(base, hi, rows.data());
@@ -217,13 +221,17 @@ Result<SelectionBitmap> Segment::BuildSelection(
   return sel;
 }
 
-Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
+Result<OlapResult> Segment::ExecuteVectorized(const PreparedQuery& prepared,
                                               const std::vector<bool>* validity,
                                               OlapQueryStats* stats) const {
+  const OlapQuery& query = prepared.query;
   OlapResult result;
 
-  std::vector<uint32_t> rows(kBatchRows);
-  std::vector<uint32_t> dense(kBatchRows);
+  // Scratch sized to the segment: a small segment never pays for a full
+  // batch of buffers.
+  const size_t batch = BatchCapacity(num_rows_);
+  std::vector<uint32_t> rows(batch);
+  std::vector<uint32_t> dense(batch);
   // Batch gather of one column's dict ids for the extracted rows: dense
   // unpack + index when the batch is mostly selected, per-row gets otherwise.
   auto gather = [&](const Column& column, size_t base, size_t span,
@@ -239,30 +247,29 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
   if (!query.aggregations.empty()) {
     bool filter_scanned = false;
     Result<SelectionBitmap> sel_result =
-        BuildSelection(query.filters, validity, &filter_scanned, stats);
+        BuildSelection(prepared.filters, validity, &filter_scanned, stats);
     if (!sel_result.ok()) return sel_result.status();
     SelectionBitmap sel = std::move(sel_result.value());
 
-    std::vector<int> group_indices;
-    for (const std::string& g : query.group_by) {
-      int idx = ColumnIndex(g);
-      if (idx < 0) return Status::InvalidArgument("unknown group column: " + g);
-      group_indices.push_back(idx);
-    }
-    std::vector<int> agg_indices;
-    for (const OlapAggregation& agg : query.aggregations) {
-      int idx = agg.column.empty() ? -1 : ColumnIndex(agg.column);
-      if (!agg.column.empty() && idx < 0) {
-        return Status::InvalidArgument("unknown aggregate column: " + agg.column);
+    const std::vector<int>& group_indices = prepared.group_by;
+    for (size_t g = 0; g < group_indices.size(); ++g) {
+      if (group_indices[g] < 0) {
+        return Status::InvalidArgument("unknown group column: " + query.group_by[g]);
       }
-      agg_indices.push_back(idx);
+    }
+    const std::vector<int>& agg_indices = prepared.aggregations;
+    for (size_t a = 0; a < agg_indices.size(); ++a) {
+      const std::string& column = query.aggregations[a].column;
+      if (!column.empty() && agg_indices[a] < 0) {
+        return Status::InvalidArgument("unknown aggregate column: " + column);
+      }
     }
     const size_t num_aggs = query.aggregations.size();
     const size_t num_groups = group_indices.size();
 
     std::vector<std::vector<uint32_t>> agg_ids(num_aggs);
     for (size_t a = 0; a < num_aggs; ++a) {
-      if (agg_indices[a] >= 0) agg_ids[a].resize(kBatchRows);
+      if (agg_indices[a] >= 0) agg_ids[a].resize(batch);
     }
     // dict id -> numeric, so the kernels never build a Value on the hot path.
     auto agg_value = [&](size_t a, size_t i) {
@@ -329,15 +336,15 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
                       : 0u;
       total_bits += widths[g];
     }
-    std::vector<std::vector<uint32_t>> group_ids(
-        num_groups, std::vector<uint32_t>(kBatchRows));
+    std::vector<std::vector<uint32_t>> group_ids(num_groups,
+                                                 std::vector<uint32_t>(batch));
 
     if (total_bits <= 64) {
       // Fast path: single-word keys into an open-addressing map, flat
       // accumulator array with stride num_aggs.
       GroupIndex index;
       std::vector<AggAccumulator> accs;
-      std::vector<uint64_t> keys(kBatchRows);
+      std::vector<uint64_t> keys(batch);
       for (size_t base = 0; base < num_rows_; base += kBatchRows) {
         size_t hi = std::min(base + kBatchRows, num_rows_);
         size_t n = sel.Extract(base, hi, rows.data());
@@ -441,14 +448,14 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
   }
   bool filter_scanned = false;
   Result<SelectionBitmap> sel_result =
-      BuildSelection(query.filters, validity, &filter_scanned, stats);
+      BuildSelection(prepared.filters, validity, &filter_scanned, stats);
   if (!sel_result.ok()) return sel_result.status();
   SelectionBitmap sel = std::move(sel_result.value());
 
   // Per-segment short-circuit only valid without ORDER BY.
   const bool can_short_circuit = query.limit >= 0 && query.order_by.empty();
-  std::vector<std::vector<uint32_t>> select_ids(
-      select_indices.size(), std::vector<uint32_t>(kBatchRows));
+  std::vector<std::vector<uint32_t>> select_ids(select_indices.size(),
+                                                std::vector<uint32_t>(batch));
   for (size_t base = 0; base < num_rows_; base += kBatchRows) {
     size_t hi = std::min(base + kBatchRows, num_rows_);
     size_t n = sel.Extract(base, hi, rows.data());

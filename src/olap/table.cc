@@ -152,37 +152,32 @@ int64_t RealtimePartition::MemoryBytes() const {
   return bytes;
 }
 
-Result<OlapResult> RealtimePartition::ExecuteOnBuffer(const OlapQuery& query,
+Result<OlapResult> RealtimePartition::ExecuteOnBuffer(const PreparedQuery& prepared,
                                                       OlapQueryStats* stats) const {
+  const OlapQuery& query = prepared.query;
   OlapResult result;
-  std::vector<int> filter_indices;
-  for (const FilterPredicate& pred : query.filters) {
-    int idx = config_.schema.FieldIndex(pred.column);
-    if (idx < 0) return Status::InvalidArgument("unknown column: " + pred.column);
-    filter_indices.push_back(idx);
+  for (const PreparedPredicate& pred : prepared.filters) {
+    if (pred.column < 0) {
+      return Status::InvalidArgument("unknown column: " + pred.pred->column);
+    }
   }
+  // The buffer holds raw (uncoerced) cells, so it compares against the
+  // predicate's own value.
   auto matches = [&](const Row& row) {
-    for (size_t i = 0; i < query.filters.size(); ++i) {
-      if (!EvalPredicate(query.filters[i],
-                         row[static_cast<size_t>(filter_indices[i])])) {
-        return false;
-      }
+    for (const PreparedPredicate& pred : prepared.filters) {
+      if (!EvalPredicate(*pred.pred, row[static_cast<size_t>(pred.column)])) return false;
     }
     return true;
   };
 
   if (!query.aggregations.empty()) {
-    std::vector<int> group_indices;
-    for (const std::string& g : query.group_by) {
-      int idx = config_.schema.FieldIndex(g);
-      if (idx < 0) return Status::InvalidArgument("unknown group column: " + g);
-      group_indices.push_back(idx);
+    const std::vector<int>& group_indices = prepared.group_by;
+    for (size_t g = 0; g < group_indices.size(); ++g) {
+      if (group_indices[g] < 0) {
+        return Status::InvalidArgument("unknown group column: " + query.group_by[g]);
+      }
     }
-    std::vector<int> agg_indices;
-    for (const OlapAggregation& agg : query.aggregations) {
-      agg_indices.push_back(agg.column.empty() ? -1
-                                               : config_.schema.FieldIndex(agg.column));
-    }
+    const std::vector<int>& agg_indices = prepared.aggregations;
     struct GroupEntry {
       Row key_values;
       std::vector<AggAccumulator> accs;
@@ -235,17 +230,17 @@ Result<OlapResult> RealtimePartition::ExecuteOnBuffer(const OlapQuery& query,
   return result;
 }
 
-void RealtimePartition::PlanMorsels(const OlapQuery& query,
+void RealtimePartition::PlanMorsels(const PreparedQuery& prepared,
                                     std::vector<int32_t>* morsels,
                                     OlapQueryStats* stats) const {
   // Derive a time window from predicates on the time column for segment
   // pruning ("data is chunked by time boundary", Section 4.3).
   TimestampMs query_min = INT64_MIN, query_max = INT64_MAX;
   if (time_index_ >= 0) {
-    for (const FilterPredicate& pred : query.filters) {
-      if (pred.column != config_.time_column) continue;
-      TimestampMs v = static_cast<TimestampMs>(pred.value.ToNumeric());
-      switch (pred.op) {
+    for (const PreparedPredicate& pred : prepared.filters) {
+      if (pred.column != time_index_) continue;
+      TimestampMs v = static_cast<TimestampMs>(pred.pred->value.ToNumeric());
+      switch (pred.pred->op) {
         case FilterPredicate::Op::kGe:
         case FilterPredicate::Op::kGt:
           query_min = std::max(query_min, v);
@@ -271,7 +266,7 @@ void RealtimePartition::PlanMorsels(const OlapQuery& query,
       continue;
     }
     bool can_match = true;
-    for (const FilterPredicate& pred : query.filters) {
+    for (const PreparedPredicate& pred : prepared.filters) {
       // Never materializes: warm/cold handles answer from resident prune
       // info.
       if (!handle.CanMatch(pred)) {
@@ -291,10 +286,10 @@ void RealtimePartition::PlanMorsels(const OlapQuery& query,
   morsels->push_back(-1);
 }
 
-Result<OlapResult> RealtimePartition::ExecuteMorsel(const OlapQuery& query,
+Result<OlapResult> RealtimePartition::ExecuteMorsel(const PreparedQuery& prepared,
                                                     int32_t morsel,
                                                     OlapQueryStats* stats) const {
-  if (morsel < 0) return ExecuteOnBuffer(query, stats);
+  if (morsel < 0) return ExecuteOnBuffer(prepared, stats);
   const SealedSegment& sealed = sealed_[static_cast<size_t>(morsel)];
   SegmentTier observed = SegmentTier::kHot;
   Result<std::shared_ptr<Segment>> segment = sealed.handle->Acquire(&observed);
@@ -304,16 +299,17 @@ Result<OlapResult> RealtimePartition::ExecuteMorsel(const OlapQuery& query,
     case SegmentTier::kWarm: ++stats->segments_warm; break;
     case SegmentTier::kCold: ++stats->segments_cold; break;
   }
-  return segment.value()->Execute(query, sealed.validity.get(), stats);
+  return segment.value()->Execute(prepared, sealed.validity.get(), stats);
 }
 
 Result<OlapResult> RealtimePartition::Execute(const OlapQuery& query,
                                               OlapQueryStats* stats) const {
+  const PreparedQuery prepared(query, config_.schema);
   std::vector<int32_t> morsels;
-  PlanMorsels(query, &morsels, stats);
+  PlanMorsels(prepared, &morsels, stats);
   OlapResult merged;
   for (int32_t morsel : morsels) {
-    Result<OlapResult> partial = ExecuteMorsel(query, morsel, stats);
+    Result<OlapResult> partial = ExecuteMorsel(prepared, morsel, stats);
     if (!partial.ok()) return partial.status();
     for (Row& row : partial.value().rows) merged.rows.push_back(std::move(row));
   }

@@ -63,20 +63,21 @@ class RealtimePartition {
   /// morsel-parallel results are identical by construction.
   Result<OlapResult> Execute(const OlapQuery& query, OlapQueryStats* stats) const;
 
-  /// Plans this partition's morsels (units of query work): one per sealed
+  /// Plans this partition's morsels (units of query work) for a query
+  /// prepared against the table schema: one per sealed
   /// segment that survives time-window + zone-map/bloom pruning, plus one
   /// for the consuming buffer (always planned, so errors like unknown
   /// columns surface identically with or without pruning). Appends segment
   /// indexes (>= 0) then -1 for the buffer; pruned segments are counted in
   /// stats->segments_pruned. Pruning never materializes a warm/cold
   /// segment: demoted segments answer from their resident SegmentPruneInfo.
-  void PlanMorsels(const OlapQuery& query, std::vector<int32_t>* morsels,
+  void PlanMorsels(const PreparedQuery& prepared, std::vector<int32_t>* morsels,
                    OlapQueryStats* stats) const;
 
   /// Executes one planned morsel (-1 = consuming buffer). A warm or cold
   /// sealed segment is transparently (re)materialized via its handle; the
   /// tier served is counted in stats->segments_{hot,warm,cold}.
-  Result<OlapResult> ExecuteMorsel(const OlapQuery& query, int32_t morsel,
+  Result<OlapResult> ExecuteMorsel(const PreparedQuery& prepared, int32_t morsel,
                                    OlapQueryStats* stats) const;
 
   int64_t NumRows() const;
@@ -133,7 +134,7 @@ class RealtimePartition {
     uint32_t row_index = 0;
   };
 
-  Result<OlapResult> ExecuteOnBuffer(const OlapQuery& query,
+  Result<OlapResult> ExecuteOnBuffer(const PreparedQuery& prepared,
                                      OlapQueryStats* stats) const;
   /// Recomputes upsert_locations_ + validity from current contents.
   Status RebuildUpsertState();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/fault_injector.h"
 #include "olap/baselines.h"
 #include "olap/cluster.h"
@@ -329,6 +331,79 @@ TEST(EsLikeStoreTest, FootprintExceedsColumnarSegment) {
   // The Section 4.3 footprint ordering: ES-like memory and disk are larger.
   EXPECT_GT(es.MemoryBytes(), pinot.value()->MemoryBytes());
   EXPECT_GT(es.DiskBytes(), pinot.value()->DiskBytes());
+}
+
+// MergeAndFinalize emits groups in the order of their typed key encoding
+// (the order an ordered map over EncodeRow bytes gives, whatever the input
+// order) and folds each group's partials in input order.
+TEST(MergeAndFinalizeTest, EncodedKeyOrderAndInputOrderFold) {
+  RowSchema schema({{"k", ValueType::kNull}, {"v", ValueType::kDouble}});
+  OlapQuery query;
+  query.group_by = {"k"};
+  query.aggregations = {OlapAggregation::Sum("v", "s"), OlapAggregation::Count("n")};
+  auto partial = [](const Value& key, double v) {
+    Row row{key};
+    AggAccumulator acc;
+    acc.count = 1;
+    acc.sum = v;
+    acc.min = v;
+    acc.max = v;
+    AppendAccumulator(&row, acc);  // SUM(v)
+    AppendAccumulator(&row, acc);  // COUNT
+    return row;
+  };
+  // Keys that compare equal as values but differ in type, plus an int whose
+  // little-endian bytes sort before 1's; fed in reverse of the expected order.
+  const std::vector<Value> keys = {Value(true),         Value(false),  Value("1"),
+                                   Value(1.0),          Value(int64_t{256}),
+                                   Value(int64_t{1}),   Value::Null()};
+  // Per key, partial sums 1e16, 1, -1e16 fold to 0 in this order; keys at
+  // odd positions get 1e16, -1e16, 1, which folds to 1. Any reordering of a
+  // group's partials changes one of the two.
+  std::vector<Row> partials;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      static const double kEven[] = {1e16, 1, -1e16};
+      static const double kOdd[] = {1e16, -1e16, 1};
+      partials.push_back(partial(keys[i], (i % 2 == 0 ? kEven : kOdd)[round]));
+    }
+  }
+  Result<OlapResult> merged = MergeAndFinalize(query, schema, partials);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  const std::vector<Row>& rows = merged.value().rows;
+  ASSERT_EQ(rows.size(), keys.size());
+
+  std::map<std::string, size_t> by_encoding;  // encoded key -> index in keys
+  for (size_t i = 0; i < keys.size(); ++i) by_encoding[EncodeRow({keys[i]})] = i;
+  size_t r = 0;
+  for (const auto& [encoded, i] : by_encoding) {
+    SCOPED_TRACE("key " + keys[i].ToString());
+    EXPECT_EQ(EncodeRow({rows[r][0]}), encoded);
+    EXPECT_EQ(rows[r][1].AsDouble(), i % 2 == 0 ? 0.0 : 1.0);
+    EXPECT_EQ(rows[r][2].AsInt(), 3);
+    ++r;
+  }
+  // By type tag: NULL, int, double, string, bool.
+  EXPECT_TRUE(rows[0][0].is_null());
+  EXPECT_EQ(rows[1][0].type(), ValueType::kInt);
+  EXPECT_EQ(rows[2][0].type(), ValueType::kInt);
+  EXPECT_EQ(rows[3][0].type(), ValueType::kDouble);
+  EXPECT_EQ(rows[4][0].type(), ValueType::kString);
+  EXPECT_EQ(rows[5][0], Value(false));
+  EXPECT_EQ(rows[6][0], Value(true));
+  // Little-endian bytes, not numeric order: 256 (00 01 ..) before 1 (01 00 ..).
+  EXPECT_EQ(rows[1][0], Value(int64_t{256}));
+  EXPECT_EQ(rows[2][0], Value(int64_t{1}));
+}
+
+TEST(MergeAndFinalizeTest, GlobalAggregateOverNoRowsIsOneZeroRow) {
+  RowSchema schema({{"v", ValueType::kDouble}});
+  OlapQuery query;
+  query.aggregations = {OlapAggregation::Count("n"), OlapAggregation::Sum("v", "s")};
+  Result<OlapResult> merged = MergeAndFinalize(query, schema, {});
+  ASSERT_TRUE(merged.ok());
+  ASSERT_EQ(merged.value().rows.size(), 1u);
+  EXPECT_EQ(merged.value().rows[0], (Row{Value(int64_t{0}), Value(0.0)}));
 }
 
 }  // namespace

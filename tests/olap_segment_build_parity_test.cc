@@ -3,9 +3,10 @@
 // set-based builder. Two independent checks:
 //
 //   1. Golden digests. For 120 seeded inputs, the FNV-1a digest of the
-//      URT_SEG1 frame, the resident footprint and two query results (one
-//      served by the star-tree / inverted index when configured) must match
-//      the digests the set-based builder produced for the same inputs.
+//      URT_SEG1 frame, the resident footprint (star-tree share as per-level
+//      cell counts, see Digest) and two query results (one served by the
+//      star-tree / inverted index when configured) must match the digests
+//      the set-based builder produced for the same inputs.
 //   2. A std::set oracle. Every cell of every built segment must be exactly
 //      (same type, same bits) the member a std::set<Value> keeps for that
 //      cell's coerced equivalence class, i.e. the first-seen representative
@@ -173,7 +174,20 @@ uint64_t Digest(int index, std::shared_ptr<Segment> segment,
   frame.seq = index;
   frame.segment = segment;
   std::string acc = EncodeSegmentFrame(frame);
-  acc += std::to_string(segment->MemoryBytes());
+  // The footprint term keeps the star-tree charge the digests were recorded
+  // with: per cell of levels 1..dims, a 4-byte id per dim plus a 48-byte map
+  // node plus sum/min/max per metric. It is recomputed from the cube's cell
+  // counts per level, so the digest still pins the cube's shape; the cube's
+  // real array capacities (StarTreeMemoryBytes) replace that charge in
+  // MemoryBytes and are checked by olap_star_tree_parity_test.
+  int64_t footprint = segment->MemoryBytes() - segment->StarTreeMemoryBytes();
+  const std::vector<size_t> cells = segment->StarTreeCellCounts();
+  const int64_t kMetrics = 2;  // star_tree_metrics of MakeCase
+  for (size_t k = 1; k < cells.size(); ++k) {
+    footprint += static_cast<int64_t>(cells[k]) *
+                 (static_cast<int64_t>(4 * k) + 48 + kMetrics * 3 * 8);
+  }
+  acc += std::to_string(footprint);
 
   OlapQuery grouped;
   grouped.group_by = {"s", "b"};
