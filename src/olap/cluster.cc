@@ -178,6 +178,7 @@ Status OlapCluster::CreateTable(TableConfig config, const std::string& source_to
   t->decode_errors = metrics_.GetCounter("olap." + name + ".decode_errors");
   t->segments_archived = metrics_.GetCounter("olap." + name + ".segments_archived");
   t->ingestion_blocked = metrics_.GetCounter("olap." + name + ".ingestion_blocked");
+  t->ingest_lag = metrics_.GetGauge("olap." + name + ".ingest_lag");
   std::lock_guard<std::mutex> lock(mu_);
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table exists: " + name);
@@ -311,10 +312,23 @@ Status OlapCluster::HandleSeal(Table* t, Server* server, int32_t partition_id,
 
 Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
                                         size_t max_per_partition) {
+  // One partition's share of one exclusive section: queries, IngestLag and
+  // NumRows never wait behind more than this per partition (plus one seal),
+  // however deep the backlog is.
+  constexpr size_t kRoundMessages = 1024;
   Result<std::shared_ptr<Table>> found = FindTable(table);
   if (!found.ok()) return found.status();
   Table* t = found.value().get();
   const bool sync = t->options.archival_mode == ArchivalMode::kSyncCentralized;
+
+  // Per-partition end offset, read once, when the first round reaches the
+  // partition under the lock: the call drains to it and ends even while
+  // producers keep appending, yet takes in everything that arrived while it
+  // waited for the lock. -1 (end unreadable, topic gone) skips the
+  // partition, as a failed fetch does.
+  const size_t num_partitions = static_cast<size_t>(t->num_stream_partitions);
+  std::vector<int64_t> snapshot(num_partitions, -1);
+  std::vector<size_t> consumed(num_partitions, 0);  // against max_per_partition
 
   // Sync mode: retry any pending backup BEFORE taking the exclusive lock.
   // During a store outage the ArchivePut retry/backoff loop must stall
@@ -327,35 +341,46 @@ Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
   }
 
   int64_t ingested = 0;
-  // Budget is per stream partition across all consume rounds of this call.
-  std::map<int32_t, size_t> budget_used;
-  while (true) {
+  for (bool first_round = true;; first_round = false) {
     int64_t round_rows = 0;
+    int64_t backlog = 0;
+    bool sealed = false;
+    // Partitions that advanced this round and still have work: `open` ones
+    // go on next round, `waiting` ones once their seal is archived.
+    bool open = false;
+    bool waiting = false;
     {
       std::unique_lock<std::shared_mutex> lock(t->rw_mu);
       for (Server& server : t->servers) {
         for (auto& [partition_id, sp] : server.partitions) {
-          if (sp.archival_blocked) {
-            if (!store_ok) continue;  // paper: "all data ingestion ... halt"
-            sp.archival_blocked = false;
+          int64_t& end = snapshot[static_cast<size_t>(partition_id)];
+          if (first_round) {
+            Result<int64_t> end_offset = bus_->EndOffset(t->topic, partition_id);
+            if (end_offset.ok()) end = end_offset.value();
           }
-          const int64_t rows_before = sp.data->NumRows();
-          const int64_t segs_before = sp.data->NumSealedSegments();
-          // Consume at most up to the seal threshold before attempting a
-          // seal, so a blocked archival (sync mode) genuinely halts
-          // consumption instead of buffering unboundedly past the segment
-          // size.
-          size_t& used = budget_used[partition_id];
-          while (used < max_per_partition) {
-            int64_t room =
-                sp.data->segment_rows_threshold() - sp.data->BufferedRows();
-            if (room <= 0) {
-              UBERRT_RETURN_IF_ERROR(HandleSeal(t, &server, partition_id, &sp));
-              if (sp.archival_blocked) break;  // halted until the drain below
+          size_t& used = consumed[static_cast<size_t>(partition_id)];
+          if (sp.archival_blocked) {
+            if (!store_ok) {  // paper: "all data ingestion ... halt"
+              backlog += std::max<int64_t>(0, end - sp.stream_offset);
               continue;
             }
-            size_t want =
-                std::min(max_per_partition - used, static_cast<size_t>(room));
+            sp.archival_blocked = false;
+          }
+          const int64_t offset_before = sp.stream_offset;
+          const int64_t rows_before = sp.data->NumRows();
+          const int64_t segs_before = sp.data->NumSealedSegments();
+          size_t taken = 0;
+          while (true) {
+            // Consume no further than the seal threshold, so the one seal
+            // below empties the buffer and a blocked archival (sync mode)
+            // genuinely halts consumption.
+            const int64_t room =
+                sp.data->segment_rows_threshold() - sp.data->BufferedRows();
+            const int64_t left = std::min(room, end - sp.stream_offset);
+            const size_t want =
+                std::min({kRoundMessages - taken, max_per_partition - used,
+                          static_cast<size_t>(std::max<int64_t>(0, left))});
+            if (want == 0) break;
             // Borrowed views: rows decode straight out of the broker's
             // arenas, no owning copy per message. The pins die with `batch`.
             Result<stream::FetchedBatch> batch =
@@ -369,6 +394,7 @@ Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
               break;  // cluster transiently unavailable
             }
             if (batch.value().empty()) break;
+            taken += batch.value().size();
             used += batch.value().size();
             for (const stream::wire::MessageView& m : batch.value().messages) {
               Result<Row> row = DecodeRow(m.value);
@@ -383,42 +409,39 @@ Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
             }
           }
           UBERRT_RETURN_IF_ERROR(HandleSeal(t, &server, partition_id, &sp));
-          if (sp.data->NumRows() != rows_before ||
-              sp.data->NumSealedSegments() != segs_before) {
+          const bool partition_sealed = sp.data->NumSealedSegments() != segs_before;
+          if (partition_sealed || sp.data->NumRows() != rows_before) {
             ++sp.data_version;  // invalidates cached results covering this
           }
+          sealed = sealed || partition_sealed;
+          // Progress is counted in offsets, not rows: a run of undecodable
+          // messages must not end the drain.
+          const int64_t left = end - sp.stream_offset;
+          if (sp.stream_offset > offset_before && left > 0 && used < max_per_partition) {
+            (sp.archival_blocked ? waiting : open) = true;
+          }
+          backlog += std::max<int64_t>(0, left);
         }
       }
       if (round_rows > 0) t->rows_ingested->Increment(round_rows);
     }
     ingested += round_rows;
-    if (!sync) break;  // async mode: DrainArchivalQueue is the explicit pump
-    bool pending;
-    {
-      std::lock_guard<std::mutex> alock(t->archival_mu);
-      pending = !t->archival_queue.empty();
+    t->ingest_lag->Set(backlog);
+    // Freshly sealed segments may push the cluster past its memory budget;
+    // enforce after each round that sealed, with the exclusive section
+    // released (demotions never run under rw_mu).
+    if (sealed && lifecycle_->memory_budget_bytes() > 0) lifecycle_->EnforceBudget();
+    // Sync mode archives this round's seals before the next round unblocks
+    // their partitions. Once a drain has failed, this call pays no second
+    // retry/backoff: the next IngestOnce retries the backup first.
+    if (sync && store_ok) {
+      bool emptied = false;
+      DrainArchival(t, &emptied);
+      store_ok = emptied;
     }
-    if (!pending) break;  // nothing sealed this round: caught up
-    if (!store_ok) {
-      // This call's opening drain already failed; don't pay a second
-      // retry/backoff round — the next IngestOnce retries the backup.
-      t->ingestion_blocked->Increment();
-      break;
-    }
-    bool emptied = false;
-    DrainArchival(t, &emptied);
-    store_ok = emptied;
-    if (!emptied) {
-      t->ingestion_blocked->Increment();
-      break;  // halted; the next IngestOnce retries the backup first
-    }
-    // Backup succeeded: run another consume round (budget permitting) so a
-    // healthy store never caps throughput at one segment per call.
+    if (!open && !(waiting && store_ok)) break;
   }
-  // Freshly sealed segments may push the cluster past its memory budget;
-  // enforce only after the exclusive section above is released (demotions
-  // never run under rw_mu).
-  if (lifecycle_->memory_budget_bytes() > 0) lifecycle_->EnforceBudget();
+  if (!store_ok) t->ingestion_blocked->Increment();
   return ingested;
 }
 

@@ -134,11 +134,18 @@ class OlapCluster {
   bool HasTable(const std::string& table) const;
   Result<TableConfig> GetTableConfig(const std::string& table) const;
 
-  /// One ingestion pump: every server consumes up to `max_per_partition`
-  /// messages from each owned stream partition. Returns rows ingested.
-  /// In sync-archival mode, partitions blocked on a failed archival do not
-  /// consume (the paper's "all data ingestion came to a halt").
-  Result<int64_t> IngestOnce(const std::string& table, size_t max_per_partition = 1024);
+  /// One ingestion pump: drains every stream partition to the end offset
+  /// read when the call first reaches it (messages appended later wait for
+  /// the next call), at most `max_per_partition` messages each. Works in
+  /// rounds, each under its own exclusive section: a partition consumes
+  /// ≤1024 messages and seals at most once per round, and queries run
+  /// between rounds. The table's backlog against those end offsets is
+  /// published after every round as the gauge olap.<table>.ingest_lag.
+  /// In sync-archival mode the queue is drained between rounds, and a
+  /// partition blocked on a failed archival does not consume (the paper's
+  /// "all data ingestion came to a halt"). Returns rows ingested.
+  Result<int64_t> IngestOnce(const std::string& table,
+                             size_t max_per_partition = SIZE_MAX);
 
   /// Pumps until the table has consumed to the topic's end (bounded cycles).
   Result<int64_t> IngestAll(const std::string& table, int32_t max_cycles = 1000);
@@ -250,6 +257,7 @@ class OlapCluster {
     Counter* decode_errors = nullptr;
     Counter* segments_archived = nullptr;
     Counter* ingestion_blocked = nullptr;
+    Gauge* ingest_lag = nullptr;
   };
 
   std::string SegmentKey(const std::string& table, const std::string& segment) const {

@@ -309,7 +309,10 @@ void LifecycleManager::Register(const std::shared_ptr<SegmentHandle>& handle) {
 }
 
 std::vector<std::shared_ptr<SegmentHandle>> LifecycleManager::SnapshotLru() {
-  std::vector<std::shared_ptr<SegmentHandle>> out;
+  // Sort on one read of each handle's last_touch: concurrent queries bump
+  // it, and a comparator reading it live is no strict weak order (the sort
+  // may then step outside the range).
+  std::vector<std::pair<uint64_t, std::shared_ptr<SegmentHandle>>> keyed;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     size_t keep = 0;
@@ -317,15 +320,15 @@ std::vector<std::shared_ptr<SegmentHandle>> LifecycleManager::SnapshotLru() {
       std::shared_ptr<SegmentHandle> h = handles_[i].lock();
       if (h == nullptr) continue;  // dropped table/partition: prune the slot
       handles_[keep++] = handles_[i];
-      out.push_back(std::move(h));
+      keyed.emplace_back(h->last_touch(), std::move(h));
     }
     handles_.resize(keep);
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const std::shared_ptr<SegmentHandle>& a,
-                      const std::shared_ptr<SegmentHandle>& b) {
-                     return a->last_touch() < b->last_touch();
-                   });
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::shared_ptr<SegmentHandle>> out;
+  out.reserve(keyed.size());
+  for (auto& [touch, handle] : keyed) out.push_back(std::move(handle));
   return out;
 }
 

@@ -58,6 +58,7 @@ class JobManagerTest : public ::testing::Test {
     return graph;
   }
 
+  common::FaultInjector faults_;  // outlives the broker that consults it
   std::unique_ptr<Broker> broker_;
   std::unique_ptr<storage::InMemoryObjectStore> store_;
   std::unique_ptr<JobManager> manager_;
@@ -143,11 +144,16 @@ TEST_F(JobManagerTest, LagTriggersAutoScaleWithStateRedistribution) {
   ASSERT_TRUE(manager_->GetRunner(id.value())->WaitUntilCaughtUp(10000).ok());
   ASSERT_TRUE(manager_->Tick().ok());
 
-  // Build a big backlog, then tick: the monitor should scale up.
+  // Build a big backlog, then tick: the monitor should scale up. The source
+  // is held (its fetches fail) until the tick has seen the lag; otherwise an
+  // idle runner can drain the backlog first.
+  broker_->SetFaultInjector(&faults_);
+  faults_.SetDown("broker.fetch.c1", true);
   for (int i = 0; i < 2000; ++i) {
     broker_->Produce("events", Event("k" + std::to_string(i % 7), 1.0, 2000 + i)).ok();
   }
   ASSERT_TRUE(manager_->Tick().ok());
+  faults_.ClearRule("broker.fetch.c1");
   Result<JobInfo> info = manager_->GetJob(id.value());
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info.value().rescales, 1);

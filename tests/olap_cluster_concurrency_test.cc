@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -213,6 +214,51 @@ TEST_F(OlapClusterConcurrencyTest, DropTableWhileQueryAndIngestInFlight) {
   EXPECT_GT(queries_ok.load(), 0);
   EXPECT_GT(ingests_ok.load(), 0);
   EXPECT_TRUE(cluster_->HasTable("churn"));
+}
+
+// One default IngestOnce drains a deep backlog in rounds and releases the
+// write lock between them: a reader querying throughout must see the count
+// climb through intermediate values, not jump from before to after. No
+// partition reaches the seal threshold, so only the per-round message
+// quota splits the drain.
+TEST_F(OlapClusterConcurrencyTest, DrainReleasesWriteLockBetweenRounds) {
+  const int kRows = 60000;
+  ProduceRides(kRows);
+  TableConfig config = RideTable("drain");
+  config.segment_rows_threshold = kRows;
+  ASSERT_TRUE(cluster_->CreateTable(config, "rides", FourServers()).ok());
+  OlapQuery count;
+  count.aggregations = {OlapAggregation::Count("n")};
+  Result<OlapResult> before = cluster_->Query("drain", count);
+  ASSERT_TRUE(before.ok());
+  const int64_t before_rows = before.value().rows[0][0].AsInt();
+  ASSERT_EQ(before_rows, 0);
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::vector<int64_t> seen;  // reader-thread only until join
+  std::thread reader([&] {
+    while (!stop.load()) {
+      Result<OlapResult> r = cluster_->Query("drain", count);
+      if (r.ok()) seen.push_back(r.value().rows[0][0].AsInt());
+      started.store(true);
+    }
+  });
+  while (!started.load()) std::this_thread::yield();
+  Result<int64_t> n = cluster_->IngestOnce("drain");
+  stop.store(true);
+  reader.join();
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(n.value(), kRows);
+  EXPECT_EQ(cluster_->IngestLag("drain").value(), 0);
+  const int64_t after_rows = cluster_->NumRows("drain").value();
+  EXPECT_EQ(after_rows, kRows);
+
+  std::set<int64_t> intermediate;
+  for (int64_t c : seen) {
+    if (c > before_rows && c < after_rows) intermediate.insert(c);
+  }
+  EXPECT_GE(intermediate.size(), 2u) << "queries saw " << seen.size() << " counts";
 }
 
 // The everything-at-once soak and the suite's sanitizer acceptance gate:

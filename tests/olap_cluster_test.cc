@@ -267,6 +267,91 @@ TEST_F(OlapClusterTest, AsyncP2PKeepsIngestingDuringStoreOutage) {
   EXPECT_EQ(cluster_->ArchivalQueueDepth("rides_t"), 0);
 }
 
+// One IngestOnce drains the backlog it finds, in rounds of ≤1024 messages
+// and ≤1 seal per partition, crossing many seals in one call.
+TEST_F(OlapClusterTest, IngestOnceDrainsBacklogAcrossSeals) {
+  const int kRows = 16000;
+  for (int i = 0; i < kRows; ++i) {
+    ProduceRide(i, i % 2 ? "sf" : "nyc", 1.0, "completed", 1000, std::to_string(i));
+  }
+  int64_t expected_segments = 0;
+  for (int32_t p = 0; p < 4; ++p) {
+    const int64_t end = broker_->EndOffset("rides", p).value();
+    ASSERT_GT(end, 3 * 1024) << "partition " << p;
+    expected_segments += end / 1000;
+  }
+  TableConfig config = RideTable();
+  config.segment_rows_threshold = 1000;
+  ASSERT_TRUE(cluster_->CreateTable(config, "rides").ok());
+  Result<int64_t> n = cluster_->IngestOnce("rides_t");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(n.value(), kRows);
+  EXPECT_EQ(cluster_->IngestLag("rides_t").value(), 0);
+  EXPECT_EQ(cluster_->NumRows("rides_t").value(), kRows);
+  // Async mode queues every seal for archival: several per partition.
+  EXPECT_EQ(cluster_->ArchivalQueueDepth("rides_t"), expected_segments);
+  EXPECT_EQ(cluster_->metrics()->GetGauge("olap.rides_t.ingest_lag")->value(), 0);
+}
+
+TEST_F(OlapClusterTest, IngestOnceCapStopsEachPartitionAtMaxPerPartition) {
+  for (int i = 0; i < 2000; ++i) {
+    ProduceRide(i, "sf", 1.0, "completed", 1000, std::to_string(i));
+  }
+  ASSERT_TRUE(cluster_->CreateTable(RideTable(), "rides").ok());
+  Result<int64_t> n = cluster_->IngestOnce("rides_t", 64);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(n.value(), 4 * 64);
+  EXPECT_EQ(cluster_->NumRows("rides_t").value(), 4 * 64);
+  const int64_t lag = cluster_->IngestLag("rides_t").value();
+  EXPECT_EQ(lag, 2000 - 4 * 64);
+  // The gauge publishes the backlog left against the end offsets read.
+  EXPECT_EQ(cluster_->metrics()->GetGauge("olap.rides_t.ingest_lag")->value(), lag);
+}
+
+TEST_F(OlapClusterTest, IngestOnceSkipsCorruptRunAndDrainsToSnapshot) {
+  // One partition (one key): 100 rows, 3000 undecodable messages — rounds
+  // that advance the offset but ingest no row — then 100 more rows.
+  for (int i = 0; i < 100; ++i) ProduceRide(i, "sf", 1.0, "completed", 1000, "sf");
+  for (int i = 0; i < 3000; ++i) {
+    Message m;
+    m.key = "sf";
+    m.value = "\xff\xff not a row";
+    ASSERT_TRUE(broker_->Produce("rides", std::move(m)).ok());
+  }
+  for (int i = 100; i < 200; ++i) ProduceRide(i, "sf", 1.0, "completed", 1000, "sf");
+  TableConfig config = RideTable();
+  config.segment_rows_threshold = 1000;
+  ASSERT_TRUE(cluster_->CreateTable(config, "rides").ok());
+  Result<int64_t> n = cluster_->IngestOnce("rides_t");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(n.value(), 200);
+  EXPECT_EQ(cluster_->NumRows("rides_t").value(), 200);
+  EXPECT_EQ(cluster_->IngestLag("rides_t").value(), 0);
+  EXPECT_EQ(cluster_->metrics()->GetCounter("olap.rides_t.decode_errors")->value(), 3000);
+}
+
+TEST_F(OlapClusterTest, SyncArchivalDrainHaltsAtSealThresholdWhenStoreDown) {
+  for (int i = 0; i < 400; ++i) ProduceRide(i, "sf", 1.0, "completed", 1000, "sf");
+  ClusterTableOptions options;
+  options.archival_mode = ArchivalMode::kSyncCentralized;
+  ASSERT_TRUE(cluster_->CreateTable(RideTable(), "rides", options).ok());
+  Counter* blocked = cluster_->metrics()->GetCounter("olap.rides_t.ingestion_blocked");
+  faults_.SetDown("store", true);
+  ASSERT_TRUE(cluster_->IngestOnce("rides_t").ok());
+  // Halted at the first seal (threshold 50); the sealed segment is kept.
+  EXPECT_EQ(cluster_->NumRows("rides_t").value(), 50);
+  EXPECT_EQ(cluster_->IngestLag("rides_t").value(), 350);
+  EXPECT_EQ(blocked->value(), 1);
+  // Store back: one call archives a seal between rounds and drains it all.
+  faults_.SetDown("store", false);
+  ASSERT_TRUE(cluster_->IngestOnce("rides_t").ok());
+  EXPECT_EQ(cluster_->IngestLag("rides_t").value(), 0);
+  EXPECT_EQ(cluster_->NumRows("rides_t").value(), 400);
+  EXPECT_EQ(cluster_->ArchivalQueueDepth("rides_t"), 0);
+  EXPECT_EQ(store_->List("segments/rides_t/").size(), 8u);
+  EXPECT_EQ(blocked->value(), 1);
+}
+
 TEST_F(OlapClusterTest, PeerToPeerRecoveryRestoresKilledServer) {
   for (int i = 0; i < 300; ++i) ProduceRide(i, i % 2 ? "sf" : "nyc", 2.0);
   ClusterTableOptions options;
