@@ -40,7 +40,7 @@ int Main() {
   while (static_cast<int64_t>(seen.size()) < kMessages / 2) {
     auto batch = consumer.Poll(100);
     if (!batch.ok() || batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) seen.insert(m.value);
+    for (const stream::wire::MessageView& m : batch.value().messages) seen.emplace(m.value);
   }
   int64_t before = static_cast<int64_t>(seen.size());
   std::printf("consumed %lld/%lld in dca, committed\n",
@@ -55,8 +55,8 @@ int Main() {
   while (true) {
     auto batch = consumer.Poll(200);
     if (!batch.ok() || batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) {
-      if (!seen.insert(m.value).second) ++duplicates;
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      if (!seen.emplace(m.value).second) ++duplicates;
     }
   }
   int64_t lost = kMessages - static_cast<int64_t>(seen.size());

@@ -2,8 +2,8 @@
 // messages and multiple petabytes of data per day", which is only affordable
 // when the broker hot path does near-zero per-message work.
 //
-// Measures the zero-copy binary log against the per-message compatibility
-// path, single core, same cluster model, same messages. The broker runs the
+// Measures the zero-copy binary log against a per-message owning baseline,
+// single core, same cluster model, same messages. The broker runs the
 // coordination cost model at paper scale (150 nodes, lossless topic,
 // acks=all): every produce *request* pays replication coordination, which is
 // the per-request overhead batching exists to amortize.
@@ -22,9 +22,10 @@
 //   - produce, batched end to end: BatchingProducer on the same core doing
 //     both the client encode and the broker append (the honest single-thread
 //     number; in production these run on different machines).
-//   - fetch: Broker::Fetch (deep copy into owning Messages, one header map
-//     per message) vs Broker::FetchViews (borrowed string_view slices, zero
-//     per-message allocation).
+//   - fetch: Broker::FetchViews plus one view.ToMessage() per record (deep
+//     copy into owning Messages, one header map per message — what an
+//     owning per-message read API costs) vs Broker::FetchViews alone
+//     (borrowed string_view slices, zero per-message allocation).
 //
 // The headline combined speedup is broker-side produce + fetch — the paper's
 // fleet-sizing metric. With UBERRT_PERF_GATE set, exits non-zero if the
@@ -169,12 +170,17 @@ int Main() {
     base_fetch_us[rep] = bench::TimeUs([&] {
       int64_t offset = 0;
       while (offset < kMessages) {
-        auto fetched = base_broker->Fetch("t", 0, offset, kFetchChunk);
+        auto fetched = base_broker->FetchViews("t", 0, offset, kFetchChunk);
         if (!fetched.ok() || fetched.value().empty()) break;
-        for (const stream::Message& m : fetched.value()) {
+        std::vector<stream::Message> owned;
+        owned.reserve(fetched.value().size());
+        for (const stream::wire::MessageView& v : fetched.value().messages) {
+          owned.push_back(v.ToMessage());
+        }
+        for (const stream::Message& m : owned) {
           base_sum += m.value.size() + m.headers.size();
         }
-        offset = fetched.value().back().offset + 1;
+        offset = owned.back().offset + 1;
       }
     });
   }

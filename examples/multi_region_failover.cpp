@@ -37,7 +37,7 @@ int main() {
   while (seen.size() < 400) {
     auto batch = payments.Poll(50);
     if (!batch.ok() || batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) seen.insert(m.value);
+    for (const stream::wire::MessageView& m : batch.value().messages) seen.emplace(m.value);
   }
   std::printf("payments consumed %zu events in dca (committed)\n", seen.size());
 
@@ -57,8 +57,8 @@ int main() {
   while (true) {
     auto batch = payments.Poll(100);
     if (!batch.ok() || batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) {
-      if (!seen.insert(m.value).second) ++duplicates;
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      if (!seen.emplace(m.value).second) ++duplicates;
     }
   }
   std::printf("active/passive: payments resumed in %s — %zu/1000 events seen, "

@@ -63,20 +63,13 @@ class InMemoryObjectStore : public ObjectStore {
   std::vector<std::string> List(const std::string& prefix) const override;
   int64_t TotalBytes() const override;
 
-  /// Failure injection: while unavailable every operation returns
-  /// Unavailable, the situation the paper says "caused all data ingestion to
-  /// come to a halt" with the centralized segment store.
-  ///
-  /// Compat shim over the unified fault plane: new code should script the
-  /// store through a FaultInjector ("store", "store.put", "store.get",
-  /// "store.delete") attached via SetFaultInjector.
-  void SetAvailable(bool available);
-  bool available() const;
-
   /// Attaches the process-wide fault plane. Put/Get/Delete consult
   /// Check("store.<op>"), Exists/List consult IsDown("store"). Pass nullptr
   /// to detach. Not synchronized with in-flight operations: attach before
-  /// sharing the store across threads.
+  /// sharing the store across threads. SetDown("store", true) on the
+  /// injector makes every operation fail Unavailable, the situation the
+  /// paper says "caused all data ingestion to come to a halt" with the
+  /// centralized segment store.
   void SetFaultInjector(common::FaultInjector* faults) { faults_ = faults; }
 
   /// Operation counters (puts/gets/failures), for the recovery benches.
@@ -84,7 +77,7 @@ class InMemoryObjectStore : public ObjectStore {
   MetricsRegistry* mutable_metrics() { return &metrics_; }
 
  private:
-  Status CheckAvailable(const char* op, const char* site) const;
+  Status CheckAvailable(const char* site) const;
 
   ObjectStoreOptions options_;
   Clock* clock_;
@@ -92,7 +85,6 @@ class InMemoryObjectStore : public ObjectStore {
   mutable std::mutex mu_;
   std::map<std::string, std::string> objects_;
   int64_t total_bytes_ = 0;
-  bool available_ = true;
   mutable MetricsRegistry metrics_;
   // Handles resolved once at construction: the per-op registry lookup (map
   // lock + string hash) would otherwise sit on the Put/Get hot path.

@@ -90,11 +90,11 @@ class Broker : public MessageBus {
                                      const wire::EncodedBatch& batch,
                                      AckMode ack = AckMode::kLeader) override;
 
-  /// Appends preserving message.offset/partition (federated topic migration).
-  Status Replicate(const std::string& topic, const Message& message);
-
-  Result<std::vector<Message>> Fetch(const std::string& topic, int32_t partition,
-                                     int64_t offset, size_t max_messages) const override;
+  /// Appends a batch preserving offsets (federated topic migration): the
+  /// batch's first record lands at `base_offset`, which must equal the
+  /// partition's end offset (PartitionLog::AppendBatchAt).
+  Status ReplicateBatch(const std::string& topic, int32_t partition, int64_t base_offset,
+                        const wire::EncodedBatch& batch);
 
   /// Zero-copy batch fetch: borrowed views into the partition log's arena
   /// segments, no per-message allocation (see FetchedBatch lifetime rules).
@@ -140,7 +140,7 @@ class Broker : public MessageBus {
   bool available() const;
 
   /// Attaches the process-wide fault plane. Produce consults
-  /// Check("broker.produce.<name>") and Fetch Check("broker.fetch.<name>")
+  /// Check("broker.produce.<name>") and FetchViews Check("broker.fetch.<name>")
   /// after the availability gate, so an injected produce fault always means
   /// the message was NOT appended (acked-or-error for lossless topics).
   void SetFaultInjector(common::FaultInjector* faults) {
@@ -151,7 +151,7 @@ class Broker : public MessageBus {
   /// ProduceBatch after the availability and fault gates, before the append
   /// (a rejected produce was never stored). Priority comes from the
   /// message's kHeaderPriority header; batches are admitted at kImportant
-  /// with units = record_count. Replicate() is exempt: replication is
+  /// with units = record_count. ReplicateBatch() is exempt: replication is
   /// internal traffic whose source was already admitted. Pass nullptr to
   /// detach. The admission object must outlive the broker or be detached
   /// first.

@@ -58,41 +58,39 @@ Status Consumer::RefreshAssignmentIfNeeded() {
   return Status::Ok();
 }
 
-Result<std::vector<Message>> Consumer::Poll(size_t max_messages) {
-  Result<FetchedBatch> views = PollViews(max_messages);
-  if (!views.ok()) return views.status();
-  return views.value().ToMessages();
-}
-
 Result<FetchedBatch> Consumer::PollViews(size_t max_messages) {
   if (!subscribed_) return Status::FailedPrecondition("not subscribed");
   UBERRT_RETURN_IF_ERROR(RefreshAssignmentIfNeeded());
   FetchedBatch out;
   if (assignment_.empty()) return out;
+  // Positions move only when the whole poll succeeds: an error on a later
+  // partition drops `out`, so advancing earlier partitions would skip the
+  // messages gathered from them (and the next Commit would persist it).
+  std::map<int32_t, int64_t> positions = positions_;
   size_t partitions_tried = 0;
   while (out.size() < max_messages && partitions_tried < assignment_.size()) {
     int32_t partition = assignment_[next_partition_index_];
     next_partition_index_ = (next_partition_index_ + 1) % assignment_.size();
     ++partitions_tried;
-    int64_t position = positions_[partition];
-    Result<FetchedBatch> batch =
-        bus_->FetchViews(topic_, partition, position, max_messages - out.size());
+    Result<FetchedBatch> batch = bus_->FetchViews(topic_, partition, positions[partition],
+                                                  max_messages - out.size());
     if (!batch.ok()) {
       if (batch.status().code() == StatusCode::kOutOfRange) {
         // Truncated under us (retention): jump to the earliest retained.
         Result<int64_t> begin = bus_->BeginOffset(topic_, partition);
         if (!begin.ok()) return begin.status();
-        positions_[partition] = begin.value();
+        positions[partition] = begin.value();
         continue;
       }
       return batch.status();
     }
     if (!batch.value().empty()) {
-      positions_[partition] = batch.value().messages.back().offset + 1;
+      positions[partition] = batch.value().messages.back().offset + 1;
       partitions_tried = 0;  // found data; keep cycling
       out.Merge(std::move(batch.value()));
     }
   }
+  positions_ = std::move(positions);
   return out;
 }
 

@@ -55,13 +55,15 @@ Result<int64_t> DlqManager::DrainDlq(const std::string& topic,
       position = begin.value();
     }
     while (true) {
-      Result<std::vector<Message>> batch = bus_->Fetch(dlq, p, position, 256);
+      Result<FetchedBatch> batch = bus_->FetchViews(dlq, p, position, 256);
       if (!batch.ok()) return batch.status();
       if (batch.value().empty()) break;
-      for (Message& m : batch.value()) {
-        position = m.offset + 1;
+      for (const wire::MessageView& view : batch.value().messages) {
+        position = view.offset + 1;
         ++handled;
         if (reinject) {
+          // Re-produce needs ownership: the retry header is rewritten.
+          Message m = view.ToMessage();
           m.headers[kHeaderRetryCount] = "0";
           m.offset = -1;
           Result<ProduceResult> produced =

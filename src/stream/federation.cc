@@ -148,14 +148,6 @@ Result<FetchedBatch> KafkaFederation::FetchViews(const std::string& topic,
   return broker.value()->FetchViews(topic, partition, offset, max_messages);
 }
 
-Result<std::vector<Message>> KafkaFederation::Fetch(const std::string& topic,
-                                                    int32_t partition, int64_t offset,
-                                                    size_t max_messages) const {
-  Result<std::shared_ptr<Broker>> broker = Route(topic);
-  if (!broker.ok()) return broker.status();
-  return broker.value()->Fetch(topic, partition, offset, max_messages);
-}
-
 Result<int64_t> KafkaFederation::BeginOffset(const std::string& topic,
                                              int32_t partition) const {
   Result<std::shared_ptr<Broker>> broker = Route(topic);
@@ -202,13 +194,16 @@ Status KafkaFederation::MigrateTopic(const std::string& topic,
     if (!end.ok()) return end.status();
     int64_t offset = begin.value();
     while (offset < end.value()) {
-      Result<std::vector<Message>> batch = source->Fetch(topic, p, offset, 1024);
-      if (!batch.ok()) return batch.status();
-      if (batch.value().empty()) break;
-      for (const Message& m : batch.value()) {
-        UBERRT_RETURN_IF_ERROR(target->Replicate(topic, m));
+      Result<FetchedBatch> fetched = source->FetchViews(topic, p, offset, 1024);
+      if (!fetched.ok()) return fetched.status();
+      if (fetched.value().empty()) break;
+      wire::BatchBuilder builder;
+      for (const wire::MessageView& v : fetched.value().messages) {
+        builder.AddEncodedFrame(v.raw_frame, v.timestamp);
       }
-      offset = batch.value().back().offset + 1;
+      UBERRT_RETURN_IF_ERROR(target->ReplicateBatch(
+          topic, p, fetched.value().messages.front().offset, builder.Finish()));
+      offset = fetched.value().messages.back().offset + 1;
     }
   }
   // Flip the route atomically; in-flight consumers continue seamlessly.

@@ -49,7 +49,10 @@ class KafkaFederation : public MessageBus {
   Result<std::string> HostingCluster(const std::string& topic) const;
 
   /// Copies the topic's data to `target_cluster` preserving offsets, then
-  /// atomically re-routes. Live consumers continue without restart.
+  /// atomically re-routes. Live consumers continue without restart. Data
+  /// moves a fetch chunk at a time, fetched frames re-appended verbatim as
+  /// one batch, so batch-header overhead (and with it what size-based
+  /// retention keeps) stays close to the source's.
   Status MigrateTopic(const std::string& topic, const std::string& target_cluster);
 
   /// Re-homes a topic whose hosting cluster died onto a healthy cluster
@@ -68,8 +71,6 @@ class KafkaFederation : public MessageBus {
   Result<ProduceResult> ProduceBatch(const std::string& topic, int32_t partition,
                                      const wire::EncodedBatch& batch,
                                      AckMode ack = AckMode::kLeader) override;
-  Result<std::vector<Message>> Fetch(const std::string& topic, int32_t partition,
-                                     int64_t offset, size_t max_messages) const override;
   /// Zero-copy batch fetch routed to the hosting cluster.
   Result<FetchedBatch> FetchViews(const std::string& topic, int32_t partition,
                                   int64_t offset, size_t max_messages) const override;

@@ -4,6 +4,21 @@
 
 namespace uberrt::stream {
 
+namespace {
+
+Status ValidateForAppend(const wire::EncodedBatch& batch) {
+  if (batch.record_count == 0) {
+    return Status::InvalidArgument("empty batch");
+  }
+  UBERRT_RETURN_IF_ERROR(wire::ValidateBatch(batch.data));
+  if (wire::ReadU32(batch.data.data() + 4) != batch.record_count) {
+    return Status::InvalidArgument("batch record_count does not match header");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
   size_t need = batch.data.size();
   if (!arena_ || arena_->size() + need > arena_->capacity()) {
@@ -29,45 +44,29 @@ int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
   return base;
 }
 
-int64_t PartitionLog::AppendMessageLocked(const Message& message) {
+int64_t PartitionLog::Append(Message message) {
   wire::BatchBuilder builder;
   builder.Add(message);
-  return AppendBatchLocked(builder.Finish());
-}
-
-int64_t PartitionLog::Append(Message message) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendMessageLocked(message);
-}
-
-Status PartitionLog::AppendWithOffset(Message message) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (message.offset != end_offset_) {
-    return Status::InvalidArgument("offset gap: expected " + std::to_string(end_offset_) +
-                                   " got " + std::to_string(message.offset));
-  }
-  AppendMessageLocked(message);
-  return Status::Ok();
-}
-
-Result<int64_t> PartitionLog::AppendBatch(const wire::EncodedBatch& batch) {
-  if (batch.record_count == 0) {
-    return Status::InvalidArgument("empty batch");
-  }
-  UBERRT_RETURN_IF_ERROR(wire::ValidateBatch(batch.data));
-  if (wire::ReadU32(batch.data.data() + 4) != batch.record_count) {
-    return Status::InvalidArgument("batch record_count does not match header");
-  }
+  wire::EncodedBatch batch = builder.Finish();
   std::lock_guard<std::mutex> lock(mu_);
   return AppendBatchLocked(batch);
 }
 
-Result<std::vector<Message>> PartitionLog::Read(int64_t offset,
-                                                size_t max_messages) const {
-  Result<FetchedBatch> views = ReadViews(offset, max_messages);
-  if (!views.ok()) return views.status();
-  // Materialize outside the lock: deep copies no longer serialize appends.
-  return views.value().ToMessages();
+Result<int64_t> PartitionLog::AppendBatch(const wire::EncodedBatch& batch) {
+  UBERRT_RETURN_IF_ERROR(ValidateForAppend(batch));
+  std::lock_guard<std::mutex> lock(mu_);
+  return AppendBatchLocked(batch);
+}
+
+Status PartitionLog::AppendBatchAt(int64_t base_offset, const wire::EncodedBatch& batch) {
+  UBERRT_RETURN_IF_ERROR(ValidateForAppend(batch));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (base_offset != end_offset_) {
+    return Status::InvalidArgument("offset gap: expected " + std::to_string(end_offset_) +
+                                   " got " + std::to_string(base_offset));
+  }
+  AppendBatchLocked(batch);
+  return Status::Ok();
 }
 
 Result<FetchedBatch> PartitionLog::ReadViews(int64_t offset,

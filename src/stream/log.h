@@ -51,14 +51,6 @@ struct FetchedBatch {
   bool empty() const { return messages.empty(); }
   size_t size() const { return messages.size(); }
 
-  /// Deep-copies every view into an owning Message (compatibility boundary).
-  std::vector<Message> ToMessages() const {
-    std::vector<Message> out;
-    out.reserve(messages.size());
-    for (const wire::MessageView& v : messages) out.push_back(v.ToMessage());
-    return out;
-  }
-
   /// Steals the other batch's views and pins (multi-partition polls).
   void Merge(FetchedBatch&& other) {
     for (auto& v : other.messages) messages.push_back(v);
@@ -94,14 +86,9 @@ class PartitionLog {
   PartitionLog& operator=(const PartitionLog&) = delete;
 
   /// Appends one message as a single-record batch and assigns the next
-  /// offset, which is returned. (Compatibility path; batched producers
-  /// should pre-encode with wire::BatchBuilder and use AppendBatch.)
+  /// offset, which is returned. (Per-message produce path; batched
+  /// producers should pre-encode with wire::BatchBuilder and use AppendBatch.)
   int64_t Append(Message message);
-
-  /// Appends preserving `message.offset` (used by intra-federation topic
-  /// migration where offset continuity must be preserved). The offset must
-  /// equal the current end offset.
-  Status AppendWithOffset(Message message);
 
   /// Appends a sealed batch with a single memcpy into the active arena
   /// segment. The batch is validated (magic, sizes, CRC, frame structure)
@@ -109,9 +96,10 @@ class PartitionLog {
   /// Returns the base offset assigned to the batch's first record.
   Result<int64_t> AppendBatch(const wire::EncodedBatch& batch);
 
-  /// Reads up to `max_messages` owning Messages starting at `offset`.
-  /// Compatibility shim over ReadViews (one deep copy per message).
-  Result<std::vector<Message>> Read(int64_t offset, size_t max_messages) const;
+  /// AppendBatch that preserves offsets (intra-federation topic migration):
+  /// `base_offset` must equal the current end offset, else InvalidArgument
+  /// and nothing is appended.
+  Status AppendBatchAt(int64_t base_offset, const wire::EncodedBatch& batch);
 
   /// Reads up to `max_messages` borrowed views starting at `offset`, with
   /// zero per-message allocation. OutOfRange if offset is below the begin
@@ -148,7 +136,6 @@ class PartitionLog {
   };
 
   int64_t AppendBatchLocked(const wire::EncodedBatch& batch);
-  int64_t AppendMessageLocked(const Message& message);
 
   mutable std::mutex mu_;
   PartitionLogOptions options_;

@@ -453,10 +453,10 @@ TEST(OffsetSyncRaceTest, SyncRacingPumpsNeverLosesACommittedMessage) {
   std::set<std::string> seen;
   int64_t duplicates = 0;
   const auto drain = [&](size_t max) {
-    Result<std::vector<Message>> batch = consumer.Poll(max);
+    Result<stream::FetchedBatch> batch = consumer.Poll(max);
     ASSERT_TRUE(batch.ok());
-    for (const Message& m : batch.value()) {
-      if (!seen.insert(m.value).second) ++duplicates;
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      if (!seen.emplace(m.value).second) ++duplicates;
     }
   };
   for (int round = 0; round < 20; ++round) {

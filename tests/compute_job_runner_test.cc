@@ -293,10 +293,10 @@ TEST_F(JobRunnerTest, CorruptMessagesCountedNotFatal) {
 std::multiset<int64_t> SinkFares(Broker* broker, const std::string& topic) {
   std::multiset<int64_t> fares;
   for (int32_t p = 0; p < broker->NumPartitions(topic).value(); ++p) {
-    Result<std::vector<Message>> messages = broker->Fetch(topic, p, 0, 1 << 20);
+    Result<stream::FetchedBatch> messages = broker->FetchViews(topic, p, 0, 1 << 20);
     EXPECT_TRUE(messages.ok());
     if (!messages.ok()) continue;
-    for (const Message& m : messages.value()) {
+    for (const stream::wire::MessageView& m : messages.value().messages) {
       Result<Row> row = DecodeRow(m.value);
       EXPECT_TRUE(row.ok());
       if (row.ok()) fares.insert(static_cast<int64_t>(row.value()[1].ToNumeric()));

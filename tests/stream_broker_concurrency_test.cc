@@ -49,7 +49,7 @@ TEST(BrokerConcurrencyTest, DeleteTopicWhileFetchAndProduceInFlight) {
 
   std::thread fetcher([&] {
     while (!stop.load()) {
-      Result<std::vector<Message>> batch = broker.Fetch("t", 0, 0, 64);
+      Result<FetchedBatch> batch = broker.FetchViews("t", 0, 0, 64);
       // Valid outcomes: data, empty, NotFound (deleted), OutOfRange.
       if (batch.ok()) fetches.fetch_add(1);
     }
@@ -59,11 +59,14 @@ TEST(BrokerConcurrencyTest, DeleteTopicWhileFetchAndProduceInFlight) {
       if (broker.Produce("t", Msg("", "v")).ok()) produces.fetch_add(1);
     }
   });
+  wire::BatchBuilder builder;
+  builder.Add(Msg("", "x"));
+  const wire::EncodedBatch stray = builder.Finish();
   std::thread offsets([&] {
     while (!stop.load()) {
       broker.BeginOffset("t", 0).ok();
       broker.EndOffset("t", 1).ok();
-      broker.Replicate("t", Msg("", "x")).ok();  // bad offset, still must not crash
+      broker.ReplicateBatch("t", 0, -1, stray).ok();  // bad offset, still must not crash
     }
   });
 
@@ -161,7 +164,7 @@ TEST(BrokerConcurrencyTest, RebalanceLoopWithAvailabilityFlips) {
         Consumer consumer(&broker, "g", "t", member);
         if (!consumer.Subscribe().ok()) continue;
         for (int i = 0; i < 10 && !stop.load(); ++i) {
-          Result<std::vector<Message>> batch = consumer.Poll(16);
+          Result<FetchedBatch> batch = consumer.PollViews(16);
           if (batch.ok() && !batch.value().empty()) consumer.Commit().ok();
           broker.GetAssignment("g", "t", member).ok();
           broker.GroupGeneration("g", "t");
@@ -222,8 +225,8 @@ TEST(BrokerConcurrencyTest, FullStressSoak) {
   threads.emplace_back([&broker, &stop] {  // fetcher over both topics
     while (!stop.load()) {
       for (int p = 0; p < 4; ++p) {
-        broker.Fetch("stable", p, 0, 32).ok();
-        broker.Fetch("churn", p, 0, 32).ok();
+        broker.FetchViews("stable", p, 0, 32).ok();
+        broker.FetchViews("churn", p, 0, 32).ok();
       }
       broker.ConsumerLag("g", "stable").ok();
     }
@@ -260,7 +263,7 @@ TEST(FederationConcurrencyTest, ProduceDuringAvailabilityFlapAndFailover) {
     producers.emplace_back([&] {
       while (!stop.load()) {
         if (federation.Produce("t", Msg("k", "v")).ok()) produced.fetch_add(1);
-        federation.Fetch("t", 0, 0, 16).ok();
+        federation.FetchViews("t", 0, 0, 16).ok();
         federation.ConsumerLag("g", "t").ok();
       }
     });

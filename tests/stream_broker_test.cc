@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "common/clock.h"
+#include "common/fault_injector.h"
 #include "stream/broker.h"
 #include "stream/consumer.h"
 #include "stream/log.h"
@@ -22,19 +26,19 @@ TEST(PartitionLogTest, OffsetsAreDenseAndMonotonic) {
   EXPECT_EQ(log.Append(Msg("", "b")), 1);
   EXPECT_EQ(log.BeginOffset(), 0);
   EXPECT_EQ(log.EndOffset(), 2);
-  Result<std::vector<Message>> read = log.Read(0, 10);
+  Result<FetchedBatch> read = log.ReadViews(0, 10);
   ASSERT_TRUE(read.ok());
   ASSERT_EQ(read.value().size(), 2u);
-  EXPECT_EQ(read.value()[1].value, "b");
-  EXPECT_EQ(read.value()[1].offset, 1);
+  EXPECT_EQ(read.value().messages[1].value, "b");
+  EXPECT_EQ(read.value().messages[1].offset, 1);
 }
 
 TEST(PartitionLogTest, ReadBoundsChecked) {
   PartitionLog log;
   log.Append(Msg("", "a"));
-  EXPECT_TRUE(log.Read(5, 1).status().code() == StatusCode::kOutOfRange);
+  EXPECT_TRUE(log.ReadViews(5, 1).status().code() == StatusCode::kOutOfRange);
   // Reading at end offset returns empty, not an error.
-  Result<std::vector<Message>> at_end = log.Read(1, 1);
+  Result<FetchedBatch> at_end = log.ReadViews(1, 1);
   ASSERT_TRUE(at_end.ok());
   EXPECT_TRUE(at_end.value().empty());
 }
@@ -49,8 +53,8 @@ TEST(PartitionLogTest, AgeRetentionAdvancesBeginOffset) {
   EXPECT_EQ(dropped, 5);
   EXPECT_EQ(log.BeginOffset(), 5);
   EXPECT_EQ(log.EndOffset(), 10);
-  EXPECT_TRUE(log.Read(0, 1).status().code() == StatusCode::kOutOfRange);
-  EXPECT_EQ(log.Read(5, 1).value()[0].timestamp, 500);
+  EXPECT_TRUE(log.ReadViews(0, 1).status().code() == StatusCode::kOutOfRange);
+  EXPECT_EQ(log.ReadViews(5, 1).value().messages[0].timestamp, 500);
 }
 
 TEST(PartitionLogTest, SizeRetentionKeepsNewest) {
@@ -115,7 +119,7 @@ TEST_F(BrokerTest, UnavailableClusterBehaviour) {
   ASSERT_TRUE(dropped.ok());
   EXPECT_TRUE(dropped.value().dropped);
   // Fetch fails while down.
-  EXPECT_TRUE(broker_->Fetch("t", 0, 0, 1).status().IsUnavailable());
+  EXPECT_TRUE(broker_->FetchViews("t", 0, 0, 1).status().IsUnavailable());
   broker_->SetAvailable(true);
   EXPECT_TRUE(broker_->Produce("t", Msg("k", "v")).ok());
   // The dropped message is really gone.
@@ -129,8 +133,10 @@ TEST_F(BrokerTest, MissingTopicIsNotFoundEvenWhenUnavailable) {
   // checked first now.
   broker_->SetAvailable(false);
   EXPECT_TRUE(broker_->Produce("ghost", Msg("k", "v")).status().IsNotFound());
-  EXPECT_TRUE(broker_->Fetch("ghost", 0, 0, 1).status().IsNotFound());
-  EXPECT_TRUE(broker_->Replicate("ghost", Msg("k", "v")).IsNotFound());
+  EXPECT_TRUE(broker_->FetchViews("ghost", 0, 0, 1).status().IsNotFound());
+  wire::BatchBuilder builder;
+  builder.Add(Msg("k", "v"));
+  EXPECT_TRUE(broker_->ReplicateBatch("ghost", 0, 0, builder.Finish()).IsNotFound());
   // Existing topics keep the availability semantics.
   EXPECT_TRUE(broker_->Produce("t", Msg("k", "v")).status().IsUnavailable());
   broker_->SetAvailable(true);
@@ -193,7 +199,7 @@ TEST_F(BrokerTest, ConsumerPollsAllMessagesAndRebalances) {
   }
   Consumer c1(broker_.get(), "g", "t", "m1");
   ASSERT_TRUE(c1.Subscribe().ok());
-  Result<std::vector<Message>> batch = c1.Poll(100);
+  Result<FetchedBatch> batch = c1.PollViews(100);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch.value().size(), 20u);
   ASSERT_TRUE(c1.Commit().ok());
@@ -205,7 +211,7 @@ TEST_F(BrokerTest, ConsumerPollsAllMessagesAndRebalances) {
   for (int i = 0; i < 20; ++i) {
     broker_->Produce("t", Msg("k" + std::to_string(i), "w")).ok();
   }
-  size_t total = c1.Poll(100).value().size() + c2.Poll(100).value().size();
+  size_t total = c1.PollViews(100).value().size() + c2.PollViews(100).value().size();
   EXPECT_EQ(total, 20u);  // no duplicates, nothing lost
 }
 
@@ -223,9 +229,55 @@ TEST_F(BrokerTest, ConsumerSurvivesRetentionTruncation) {
   // Truncate everything before the consumer reads.
   broker_->ApplyRetention();
   for (int i = 0; i < 3; ++i) broker_->Produce("short", Msg("", "new", now)).ok();
-  Result<std::vector<Message>> batch = consumer.Poll(100);
+  Result<FetchedBatch> batch = consumer.PollViews(100);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch.value().size(), 3u);  // jumped to the retained range
+}
+
+// A fetch error on a later partition used to drop the views already gathered
+// from earlier partitions after their positions had advanced: those messages
+// were never delivered, and the next Commit persisted the skip.
+TEST_F(BrokerTest, FailedPollLeavesPositionsSoNoMessageIsSkipped) {
+  constexpr int kMessages = 4000;
+  for (int i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(broker_->Produce("t", Msg("k" + std::to_string(i), "v")).ok());
+  }
+  common::FaultInjector faults(/*seed=*/7);
+  common::FaultRule flaky;
+  flaky.error_probability = 0.3;
+  faults.SetRule("broker.fetch.c1", flaky);
+  broker_->SetFaultInjector(&faults);
+  Consumer consumer(broker_.get(), "g", "t", "m");
+  ASSERT_TRUE(consumer.Subscribe().ok());
+  std::map<int32_t, std::set<int64_t>> delivered;
+  int failed_polls = 0;
+  for (int i = 0; i < 2000; ++i) {
+    Result<FetchedBatch> batch = consumer.PollViews(5000);
+    if (!batch.ok()) {
+      ++failed_polls;
+      continue;
+    }
+    for (const wire::MessageView& v : batch.value().messages) {
+      delivered[v.partition].insert(v.offset);
+    }
+    ASSERT_TRUE(consumer.Commit().ok());
+  }
+  EXPECT_GT(failed_polls, 0);
+  size_t total = 0;
+  for (int32_t p = 0; p < 4; ++p) {
+    int64_t end = broker_->EndOffset("t", p).value();
+    // Every offset in [0, end) delivered: the set holds exactly those.
+    EXPECT_EQ(static_cast<int64_t>(delivered[p].size()), end) << "partition " << p;
+    if (!delivered[p].empty()) {
+      EXPECT_EQ(*delivered[p].rbegin(), end - 1);
+    }
+    Result<int64_t> committed = broker_->CommittedOffset("g", "t", p);
+    ASSERT_TRUE(committed.ok());
+    EXPECT_EQ(committed.value(), end);
+    total += delivered[p].size();
+  }
+  EXPECT_EQ(total, static_cast<size_t>(kMessages));
+  broker_->SetFaultInjector(nullptr);
 }
 
 TEST(BrokerCoordinationTest, ClusterSizeCoordinationCost) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "stream/consumer.h"
 #include "stream/federation.h"
 
@@ -55,10 +57,10 @@ TEST_F(FederationTest, TransparentRouting) {
   ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
   Result<ProduceResult> produced = federation_.Produce("t", Msg("k", "v1"));
   ASSERT_TRUE(produced.ok());
-  Result<std::vector<Message>> fetched = federation_.Fetch("t", 0, 0, 10);
+  Result<FetchedBatch> fetched = federation_.FetchViews("t", 0, 0, 10);
   ASSERT_TRUE(fetched.ok());
   ASSERT_EQ(fetched.value().size(), 1u);
-  EXPECT_EQ(fetched.value()[0].value, "v1");
+  EXPECT_EQ(fetched.value().messages[0].value, "v1");
 }
 
 TEST_F(FederationTest, ProduceFailsOverWhenHostClusterDies) {
@@ -72,7 +74,7 @@ TEST_F(FederationTest, ProduceFailsOverWhenHostClusterDies) {
   ASSERT_TRUE(produced.ok()) << produced.status().ToString();
   std::string new_host = federation_.HostingCluster("t").value();
   EXPECT_NE(new_host, host);
-  EXPECT_EQ(federation_.Fetch("t", 0, 0, 10).value().size(), 1u);
+  EXPECT_EQ(federation_.FetchViews("t", 0, 0, 10).value().size(), 1u);
 }
 
 TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
@@ -84,7 +86,7 @@ TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
   }
   Consumer consumer(&federation_, "g", "t", "m1");
   ASSERT_TRUE(consumer.Subscribe().ok());
-  EXPECT_EQ(consumer.Poll(5).value().size(), 5u);
+  EXPECT_EQ(consumer.PollViews(5).value().size(), 5u);
   ASSERT_TRUE(consumer.Commit().ok());
 
   // Migrate the topic to the other cluster while the consumer is live.
@@ -97,13 +99,13 @@ TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
   // preserved by the migration copy.
   size_t got = 0;
   for (int i = 0; i < 10 && got < 5; ++i) {
-    got += consumer.Poll(10).value().size();
+    got += consumer.PollViews(10).value().size();
   }
   EXPECT_EQ(got, 5u);
 
   // New data lands on the new cluster and still flows.
   federation_.Produce("t", Msg("kx", "fresh")).ok();
-  EXPECT_EQ(consumer.Poll(10).value().size(), 1u);
+  EXPECT_EQ(consumer.PollViews(10).value().size(), 1u);
 }
 
 TEST_F(FederationTest, GroupStateSurvivesMigration) {
@@ -118,6 +120,39 @@ TEST_F(FederationTest, GroupStateSurvivesMigration) {
   // cluster, so they survive.
   EXPECT_EQ(federation_.CommittedOffset("g", "t", 0).value(), 4);
   EXPECT_EQ(federation_.ConsumerLag("g", "t").value(), 2);
+}
+
+// Migration re-appends fetched frames a chunk at a time. Copying record by
+// record gave every record its own batch header, so a size-retained topic
+// kept about a quarter fewer messages after migration than before it.
+TEST_F(FederationTest, MigrationKeepsSizeRetentionFootprint) {
+  TopicConfig config;
+  config.num_partitions = 1;
+  config.retention.max_bytes = 1'000'000;
+  ASSERT_TRUE(federation_.CreateTopic("migrated", config).ok());
+  ASSERT_TRUE(federation_.CreateTopic("stayed", config).ok());
+  ASSERT_NE(federation_.HostingCluster("migrated").value(),
+            federation_.HostingCluster("stayed").value());
+  for (const std::string topic : {"migrated", "stayed"}) {
+    for (int b = 0; b < 20'000 / 250; ++b) {
+      wire::BatchBuilder builder;
+      for (int i = 0; i < 250; ++i) builder.Add(Msg("", std::string(40, 'x')));
+      ASSERT_TRUE(federation_.ProduceBatch(topic, 0, builder.Finish()).ok());
+    }
+  }
+  std::string host = federation_.HostingCluster("migrated").value();
+  ASSERT_TRUE(federation_.MigrateTopic("migrated", host == "c1" ? "c2" : "c1").ok());
+  EXPECT_EQ(federation_.EndOffset("migrated", 0).value(), 20'000);
+  for (const std::string& cluster : federation_.ListClusters()) {
+    federation_.GetCluster(cluster).value()->ApplyRetention();
+  }
+  auto kept = [&](const std::string& topic) {
+    return federation_.EndOffset(topic, 0).value() -
+           federation_.BeginOffset(topic, 0).value();
+  };
+  EXPECT_GT(kept("stayed"), 10'000);
+  // Within one migration fetch chunk (1024 records) of the unmigrated topic.
+  EXPECT_LE(std::abs(kept("migrated") - kept("stayed")), 1024);
 }
 
 }  // namespace

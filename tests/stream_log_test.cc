@@ -36,8 +36,6 @@ TEST(WireTest, FrameSizeMatchesEncodedBytes) {
   std::string buf;
   wire::AppendFrame(buf, m);
   EXPECT_EQ(buf.size(), m.FrameSize());
-  // And the deprecated alias agrees (the old flat-24 formula did not).
-  EXPECT_EQ(m.ByteSize(), m.FrameSize());
 
   Message empty;
   std::string buf2;
@@ -102,7 +100,7 @@ TEST(StreamLogTest, AppendBatchAssignsDenseOffsetsAcrossBatches) {
   Result<int64_t> first = log.AppendBatch(Batch({Msg("", "a"), Msg("", "b")}));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value(), 0);
-  // Single-message compatibility append interleaves with batches.
+  // Single-message append interleaves with batches.
   EXPECT_EQ(log.Append(Msg("", "c")), 2);
   Result<int64_t> second = log.AppendBatch(Batch({Msg("", "d")}));
   ASSERT_TRUE(second.ok());
@@ -138,17 +136,15 @@ TEST(StreamLogTest, OffsetContinuityAcrossTruncation) {
   EXPECT_EQ(log.Append(Msg("", "next")), 10);
 }
 
-TEST(StreamLogTest, AppendWithOffsetRejectsGaps) {
+TEST(StreamLogTest, AppendBatchAtRejectsGaps) {
   PartitionLog log;
-  Message m = Msg("", "a");
-  m.offset = 0;
-  ASSERT_TRUE(log.AppendWithOffset(m).ok());
-  Message gap = Msg("", "b");
-  gap.offset = 5;  // skips 1..4
-  EXPECT_EQ(log.AppendWithOffset(gap).code(), StatusCode::kInvalidArgument);
-  Message stale = Msg("", "c");
-  stale.offset = 0;  // already taken
-  EXPECT_EQ(log.AppendWithOffset(stale).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(log.AppendBatchAt(0, Batch({Msg("", "a")})).ok());
+  // skips 1..4
+  EXPECT_EQ(log.AppendBatchAt(5, Batch({Msg("", "b")})).code(),
+            StatusCode::kInvalidArgument);
+  // already taken
+  EXPECT_EQ(log.AppendBatchAt(0, Batch({Msg("", "c")})).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(log.EndOffset(), 1);
 }
 

@@ -43,12 +43,13 @@ TEST_F(UReplicatorTest, ReplicatesAllMessagesInPartitionOrder) {
   EXPECT_EQ(replicator.TotalLag().value(), 0);
   // Destination created with same partition count; per-partition order kept.
   EXPECT_EQ(destination_->NumPartitions("t").value(), 8);
-  Result<std::vector<Message>> p0 = destination_->Fetch("t", 0, 0, 100);
+  Result<FetchedBatch> p0 = destination_->FetchViews("t", 0, 0, 100);
   ASSERT_TRUE(p0.ok());
-  for (size_t i = 1; i < p0.value().size(); ++i) {
+  const std::vector<wire::MessageView>& views = p0.value().messages;
+  for (size_t i = 1; i < views.size(); ++i) {
     // Values v0, v8, v16... arrive in source order.
-    EXPECT_LT(std::stoi(p0.value()[i - 1].value.substr(1)),
-              std::stoi(p0.value()[i].value.substr(1)));
+    EXPECT_LT(std::stoi(std::string(views[i - 1].value.substr(1))),
+              std::stoi(std::string(views[i].value.substr(1))));
   }
 }
 
@@ -205,14 +206,16 @@ TEST(ChaperoneTest, EndToEndThroughReplication) {
   // Downstream stage records what actually arrived, minus 2 "lost" ones.
   int skipped = 0;
   for (int32_t p = 0; p < 2; ++p) {
-    Result<std::vector<Message>> arrived = destination.Fetch("t", p, 0, 100);
+    Result<FetchedBatch> arrived = destination.FetchViews("t", p, 0, 100);
     ASSERT_TRUE(arrived.ok());
-    for (const Message& m : arrived.value()) {
-      if (skipped < 2 && m.headers.at(kHeaderUid) == "uid" + std::to_string(p)) {
+    for (const wire::MessageView& v : arrived.value().messages) {
+      std::string_view uid;
+      ASSERT_TRUE(v.GetHeader(kHeaderUid, &uid));
+      if (skipped < 2 && uid == "uid" + std::to_string(p)) {
         ++skipped;  // simulate loss of two specific messages
         continue;
       }
-      audit.Record("aggregate", "t", m);
+      audit.RecordRaw("aggregate", "t", v.timestamp, std::string(uid));
     }
   }
   std::vector<AuditAlert> alerts = audit.Compare("producer", "aggregate", "t");
