@@ -9,6 +9,7 @@
 #include "bench_util.h"
 #include "stream/broker.h"
 #include "stream/ureplicator.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 namespace {
@@ -69,7 +70,7 @@ int Main() {
       m.value = "x";
       m.timestamp = 1;
       m.partition = i % 6;
-      source.Produce("t", std::move(m)).ok();
+      stream::ProduceOne(&source, "t", std::move(m)).ok();
     }
     int cycles = 0;
     while (replicator.TotalLag().value() > 0 && cycles < 200) {

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "compute/backfill.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 
@@ -49,7 +50,7 @@ int Main() {
       m.key = row[0].AsString();
       m.value = EncodeRow(row);
       m.timestamp = ts;
-      broker.Produce("events", std::move(m)).ok();
+      stream::ProduceOne(&broker, "events", std::move(m)).ok();
       day_rows.push_back(std::move(row));
     }
     archive.AppendBatch("day" + std::to_string(day), day_rows).ok();

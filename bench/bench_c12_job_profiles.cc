@@ -8,6 +8,7 @@
 #include "bench_util.h"
 #include "compute/job_runner.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 namespace {
@@ -25,7 +26,7 @@ void ProduceEvents(stream::Broker* broker, const std::string& topic, int64_t n) 
     m.key = key;
     m.value = EncodeRow({Value(key), Value(1.0), Value(i * 10)});
     m.timestamp = i * 10;
-    broker->Produce(topic, std::move(m)).ok();
+    stream::ProduceOne(broker, topic, std::move(m)).ok();
   }
 }
 

@@ -11,6 +11,7 @@
 #include "stream/broker.h"
 #include "stream/chaperone.h"
 #include "stream/ureplicator.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 
@@ -40,7 +41,7 @@ int Main() {
       ++injected_loss;
       continue;  // lost before reaching the regional cluster
     }
-    regional.Produce("trips", std::move(m)).ok();
+    stream::ProduceOne(&regional, "trips", std::move(m)).ok();
   }
   // Stage 2: what the regional cluster actually holds.
   for (int32_t p = 0; p < 4; ++p) {

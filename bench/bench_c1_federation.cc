@@ -14,6 +14,7 @@
 #include "bench_util.h"
 #include "stream/broker.h"
 #include "stream/federation.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 
@@ -38,7 +39,7 @@ int Main() {
         stream::Message m;
         m.value = "x";
         m.timestamp = 1;
-        broker.Produce("t", std::move(m)).ok();
+        stream::ProduceOne(&broker, "t", std::move(m)).ok();
       }
     });
     double per_produce = static_cast<double>(us) / kMessages;

@@ -12,6 +12,7 @@
 #include "compute/baselines.h"
 #include "compute/job_runner.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 
@@ -38,7 +39,7 @@ int Main() {
         int64_t ts = w * 60'000 + (i / kKeys) * 100;
         m.value = EncodeRow({Value(key), Value(1.5), Value(ts)});
         m.timestamp = ts;
-        broker.Produce("events", std::move(m)).ok();
+        stream::ProduceOne(&broker, "events", std::move(m)).ok();
       }
     }
     compute::SourceSpec source;

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 
@@ -49,7 +50,7 @@ int Main() {
       m.key = key;  // stream partitioned by primary key
       m.value = EncodeRow({Value(key), Value(fare), Value(version)});
       m.timestamp = 1;
-      broker.Produce("fares", std::move(m)).ok();
+      stream::ProduceOne(&broker, "fares", std::move(m)).ok();
       truth[key] = {fare, version};
     }
   });

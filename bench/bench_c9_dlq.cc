@@ -12,6 +12,7 @@
 #include "stream/broker.h"
 #include "stream/consumer.h"
 #include "stream/consumer_proxy.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 namespace {
@@ -26,7 +27,7 @@ void Produce(stream::Broker* broker) {
     m.value = i % kPoisonEvery == 0 ? "poison" : "ok";
     m.timestamp = 1;
     m.headers[stream::kHeaderUid] = std::to_string(i);
-    broker->Produce("t", std::move(m)).ok();
+    stream::ProduceOne(broker, "t", std::move(m)).ok();
   }
 }
 

@@ -47,6 +47,7 @@
 #include "compute/job_runner.h"
 #include "storage/object_store.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 
@@ -267,15 +268,14 @@ int Main() {
   // Monotone event time (10 ms apart round-robin across partitions), so no
   // record is ever late in any mode and output multisets match exactly.
   for (int i = 0; i < kAggRecords; ++i) {
-    if (!broker.Produce("events", EventMessage(kAggKeys, i, int64_t{10} * i)).ok())
-      return 1;
+    const stream::Message m = EventMessage(kAggKeys, i, int64_t{10} * i);
+    if (!stream::ProduceOne(&broker, "events", m).ok()) return 1;
   }
   for (int i = 0; i < kJoinRecords; ++i) {
-    if (!broker.Produce("jleft", EventMessage(kJoinKeys, i, int64_t{10} * i)).ok())
-      return 1;
-    if (!broker.Produce("jright", EventMessage(kJoinKeys, i * 7, int64_t{10} * i + 3))
-             .ok())
-      return 1;
+    const stream::Message left = EventMessage(kJoinKeys, i, int64_t{10} * i);
+    const stream::Message right = EventMessage(kJoinKeys, i * 7, int64_t{10} * i + 3);
+    if (!stream::ProduceOne(&broker, "jleft", left).ok()) return 1;
+    if (!stream::ProduceOne(&broker, "jright", right).ok()) return 1;
   }
 
   std::printf("%-8s %-16s %18s %13s %13s %11s %8s\n", "pipeline", "mode",

@@ -20,6 +20,7 @@
 #include "common/executor.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 namespace {
@@ -153,7 +154,7 @@ int Main() {
                            Value(cities[(epoch + i) % 5]), Value(5.0 + i % 7),
                            Value(int64_t{100000} * epoch + i)});
       m.timestamp = 100000 * epoch + i;
-      if (!broker.Produce("rides", std::move(m)).ok()) return 1;
+      if (!stream::ProduceOne(&broker, "rides", std::move(m)).ok()) return 1;
     }
   }
   if (!cluster.IngestAll("rides_t").ok()) return 1;

@@ -71,7 +71,7 @@ int Main() {
               "HDFS", platform.store()->List("").size());
   std::printf("%-10s %-28s topics: %zu on %zu federated clusters\n", "Stream",
               "Apache Kafka",
-              platform.streams()->HasTopic("trips") ? 3u : 0u,
+              platform.streams()->HasTopic("trips") ? size_t{3} : size_t{0},
               platform.streams()->ListClusters().size());
   std::printf("%-10s %-28s jobs run: %zu (1 FlinkSQL + 1 API)\n", "Compute",
               "Apache Flink", platform.jobs()->ListJobs().size());

@@ -14,6 +14,7 @@
 #include "stream/broker.h"
 #include "stream/consumer.h"
 #include "stream/consumer_proxy.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 namespace {
@@ -28,7 +29,7 @@ void Produce(stream::Broker* broker) {
     m.key = "k" + std::to_string(i);
     m.value = "v";
     m.timestamp = 1;
-    broker->Produce("t", std::move(m)).ok();
+    stream::ProduceOne(broker, "t", std::move(m)).ok();
   }
 }
 

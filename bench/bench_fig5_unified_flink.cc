@@ -60,7 +60,7 @@ int Main() {
       .Map("expensive_enrichment",
            [](const Row& r) {
              volatile double sink = 0;
-             for (int i = 0; i < 20'000; ++i) sink += i * 1e-9;
+             for (int i = 0; i < 20'000; ++i) sink = sink + i * 1e-9;
              (void)sink;
              return r;
            },

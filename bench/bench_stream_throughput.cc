@@ -13,9 +13,9 @@
 //     In the Kafka architecture this cost runs on producer *clients*, spread
 //     across thousands of services — it is reported separately because it
 //     does not size the broker fleet.
-//   - produce, per-message baseline: Broker::Produce per message — the
-//     broker copies, encodes, CRCs and appends a single-record batch, and
-//     pays coordination per message.
+//   - produce, per-message baseline: stream::ProduceOne per message — each
+//     message is encoded into a one-record batch, CRC'd, validated and
+//     appended on its own, and pays coordination per message.
 //   - produce, batched broker side: Broker::ProduceBatch over the pre-sealed
 //     batches — one CRC verify, one structural walk, one memcpy and one
 //     coordination round per 2048 records.
@@ -123,7 +123,7 @@ int Main() {
     base_broker = MakeBroker();
     base_produce_us[rep] = bench::TimeUs([&] {
       for (const stream::Message& m : corpus) {
-        base_broker->Produce("t", m, ack).ok();
+        stream::ProduceOne(base_broker.get(), "t", m, ack).ok();
       }
     });
   }

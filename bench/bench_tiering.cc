@@ -27,6 +27,7 @@
 #include "common/executor.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 namespace {
@@ -133,7 +134,7 @@ int Main() {
                          Value(1.0 + i % 23),
                          Value(static_cast<int64_t>(i))});
     m.timestamp = i;
-    broker.Produce("rides", std::move(m)).ok();
+    stream::ProduceOne(&broker, "rides", std::move(m)).ok();
   }
   cluster.IngestAll("rides_t").ok();
   cluster.ForceSeal("rides_t").ok();

@@ -4,6 +4,8 @@
 #      the Figure 1 benchmark's reference checks (perfbench/run.py --all).
 #   2. sanitizers: the concurrency stress suites, the broker and federation
 #      suites (consumer poll positions, offset-preserving migration append),
+#      the DLQ / consumer-proxy suite (multi-threaded proxy workers on the
+#      DLQ write path),
 #      the OLAP cluster suite
 #      (its ingest drain does offset and fetch-size arithmetic), the
 #      vectorized/scalar parity fuzz, the segment-build parity digests and
@@ -38,13 +40,13 @@ ctest --test-dir build --output-on-failure -j
 echo "== Figure 1 reference checks (perfbench) =="
 python3 perfbench/run.py --all --seed 1
 
-CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_test|stream_federation_test|stream_broker_concurrency_test|olap_cluster_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|olap_segment_build_parity_test|olap_star_tree_parity_test"
+CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_test|stream_federation_test|stream_dlq_proxy_test|stream_broker_concurrency_test|olap_cluster_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|olap_segment_build_parity_test|olap_star_tree_parity_test"
 for SAN in address thread; do
   echo "== sanitizer gate: ${SAN} =="
   cmake -B "build-${SAN}" -S . -DUBERRT_SANITIZE="${SAN}"
   cmake --build "build-${SAN}" -j --target \
     common_executor_test stream_log_test stream_broker_test stream_federation_test \
-    stream_broker_concurrency_test \
+    stream_dlq_proxy_test stream_broker_concurrency_test \
     olap_cluster_test olap_cluster_concurrency_test chaos_soak_test \
     olap_vectorized_parity_test \
     olap_morsel_parity_test olap_upsert_recovery_test olap_tiering_test \

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "stream/producer.h"
+
 namespace uberrt::allactive {
 
 MultiRegionTopology::MultiRegionTopology(const std::vector<std::string>& region_names,
@@ -86,10 +88,10 @@ Status MultiRegionTopology::CreateTopic(const std::string& topic,
 }
 
 Result<stream::ProduceResult> MultiRegionTopology::ProduceToRegion(
-    const std::string& region, const std::string& topic, stream::Message message) {
+    const std::string& region, const std::string& topic, const stream::Message& message) {
   Region* r = GetRegion(region);
   if (r == nullptr) return Status::NotFound("no region: " + region);
-  return r->regional()->Produce(topic, std::move(message), stream::AckMode::kLeader);
+  return stream::ProduceOne(r->regional(), topic, message);
 }
 
 Result<int64_t> MultiRegionTopology::ReplicateOnce() {

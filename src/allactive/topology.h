@@ -100,7 +100,7 @@ class MultiRegionTopology {
   /// Produces to a region's regional cluster (an app publishing locally).
   Result<stream::ProduceResult> ProduceToRegion(const std::string& region,
                                                 const std::string& topic,
-                                                stream::Message message);
+                                                const stream::Message& message);
 
   /// Pumps all replication routes once; returns messages moved. Routes
   /// whose source or destination region is down are skipped.

@@ -1,6 +1,7 @@
 #include "compute/backfill.h"
 
 #include "common/clock.h"
+#include "stream/producer.h"
 
 namespace uberrt::compute {
 
@@ -32,27 +33,27 @@ Result<BackfillReport> KappaPlusBackfill::Run(const JobGraph& graph,
   UBERRT_RETURN_IF_ERROR(runner.Start());
 
   BackfillReport report;
+  stream::BatchingProducer replay(bus_, replay_topic);
+  const auto fail = [&runner](Status status) {
+    runner.Cancel();
+    return status;
+  };
   int64_t since_check = 0;
   for (const std::string& partition : partitions) {
     Result<std::vector<Row>> rows = table.ReadPartition(partition);
-    if (!rows.ok()) {
-      runner.Cancel();
-      return rows.status();
-    }
+    if (!rows.ok()) return fail(rows.status());
     for (Row& row : rows.value()) {
       stream::Message message;
       message.value = EncodeRow(row);
-      Result<stream::ProduceResult> produced =
-          bus_->Produce(replay_topic, std::move(message), stream::AckMode::kLeader);
-      if (!produced.ok()) {
-        runner.Cancel();
-        return produced.status();
-      }
+      Status produced = replay.Produce(message);
+      if (!produced.ok()) return fail(produced);
       ++report.records_pumped;
       if (++since_check >= options.pump_chunk) {
         since_check = 0;
-        // Throttle: historic data reads far outpace the job; wait for the
-        // pipeline to digest before pumping more.
+        // Ship the chunk, then throttle: historic data reads far outpace the
+        // job; wait for the pipeline to digest before pumping more.
+        Status flushed = replay.Flush();
+        if (!flushed.ok()) return fail(flushed);
         while (true) {
           Result<int64_t> lag = runner.SourceLag();
           if (!lag.ok()) break;
@@ -62,12 +63,11 @@ Result<BackfillReport> KappaPlusBackfill::Run(const JobGraph& graph,
       }
     }
   }
+  Status flushed = replay.Flush();
+  if (!flushed.ok()) return fail(flushed);
   runner.RequestFinish();
   Status finished = runner.AwaitTermination(120'000);
-  if (!finished.ok()) {
-    runner.Cancel();
-    return finished;
-  }
+  if (!finished.ok()) return fail(finished);
   report.records_out = runner.RecordsOut();
   report.duration_ms = SystemClock::Instance()->NowMs() - start_ms;
   return report;

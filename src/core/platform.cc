@@ -1,6 +1,7 @@
 #include "core/platform.h"
 
 #include "sql/parser.h"
+#include "stream/producer.h"
 
 #include <sstream>
 
@@ -101,7 +102,7 @@ Result<stream::ProduceResult> RealtimePlatform::ProduceRow(const std::string& to
   message.headers[stream::kHeaderService] = actor;
   chaperone_.Record("producer", topic, message);
   MarkUsage(actor, kLayerStream);
-  return federation_.Produce(topic, std::move(message), stream::AckMode::kLeader);
+  return stream::ProduceOne(&federation_, topic, message);
 }
 
 Result<std::string> RealtimePlatform::SubmitJob(const compute::JobGraph& graph,

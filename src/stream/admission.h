@@ -28,15 +28,6 @@ inline const char* PriorityName(Priority p) {
   return "unknown";
 }
 
-/// Parses a priority header value ("critical", "important", "besteffort").
-/// Unlabeled traffic defaults to kImportant: legacy producers should neither
-/// jump the critical reserve nor be first against the wall.
-inline Priority PriorityFromString(const std::string& value) {
-  if (value == "critical") return Priority::kCritical;
-  if (value == "besteffort") return Priority::kBestEffort;
-  return Priority::kImportant;
-}
-
 /// Capacity admission consulted by the broker at the produce boundary,
 /// before anything is appended. A non-Ok return rejects the produce with
 /// nothing stored — kResourceExhausted means "shed, retry later" (the
@@ -46,7 +37,7 @@ class ProduceAdmission {
  public:
   virtual ~ProduceAdmission() = default;
 
-  /// `units` is the admission cost (1 per message, record_count per batch).
+  /// `units` is the admission cost: the batch's record_count.
   virtual Status AdmitProduce(const std::string& topic, Priority priority,
                               int64_t units) = 0;
 };

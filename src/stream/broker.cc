@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
 #include "stream/assignment.h"
 
 namespace uberrt::stream {
@@ -109,76 +108,17 @@ void Broker::SpinCoordinationWork(AckMode ack) const {
   (void)sink;
 }
 
-Result<ProduceResult> Broker::Produce(const std::string& topic, Message message,
-                                      AckMode ack) {
+Result<ProduceResult> Broker::ProduceBatch(const std::string& topic, int32_t partition,
+                                           const wire::EncodedBatch& batch,
+                                           AckMode ack, Priority priority) {
   // Topic existence is checked before availability: a missing topic is
   // NotFound even while the cluster is down, so federation retry logic does
   // not spin forever on a topic that will never exist.
   Result<std::shared_ptr<Topic>> found = FindTopic(topic);
   if (!found.ok()) return found.status();
   std::shared_ptr<Topic> t = std::move(found.value());
-  if (!available_.load(std::memory_order_acquire)) {
-    if (!t->config.lossless) {
-      // Availability over consistency: non-lossless topics drop silently.
-      dropped_counter_->Increment();
-      ProduceResult dropped;
-      dropped.dropped = true;
-      return dropped;
-    }
-    if (ack == AckMode::kNone) {
-      ProduceResult lost;
-      lost.dropped = true;
-      return lost;  // fire-and-forget into a dead cluster
-    }
-    return Status::Unavailable("cluster " + name_ + " down");
-  }
-  // Injected faults fire before the append: an error return always means the
-  // message was not stored, so lossless producers see acked-or-error.
-  if (common::FaultInjector* faults = faults_.load(std::memory_order_acquire)) {
-    UBERRT_RETURN_IF_ERROR(faults->Check(produce_site_));
-  }
-  // Capacity admission also fires before the append: a shed produce was
-  // never stored, so the acked-or-error contract extends to load shedding.
-  if (ProduceAdmission* admission = admission_.load(std::memory_order_acquire)) {
-    Priority priority = Priority::kImportant;
-    auto header = message.headers.find(kHeaderPriority);
-    if (header != message.headers.end()) {
-      priority = PriorityFromString(header->second);
-    }
-    UBERRT_RETURN_IF_ERROR(admission->AdmitProduce(topic, priority, 1));
-  }
-  SpinCoordinationWork(ack);
-  int32_t partition = message.partition;
-  int32_t num_partitions = static_cast<int32_t>(t->partitions.size());
-  if (partition < 0) {
-    if (!message.key.empty()) {
-      partition = static_cast<int32_t>(
-          KeyToPartition(message.key, static_cast<uint32_t>(num_partitions)));
-    } else {
-      partition = static_cast<int32_t>(t->round_robin.fetch_add(1) %
-                                       static_cast<uint64_t>(num_partitions));
-    }
-  }
+  const int32_t num_partitions = static_cast<int32_t>(t->partitions.size());
   if (partition >= num_partitions) {
-    return Status::InvalidArgument("partition out of range");
-  }
-  if (message.timestamp == 0) message.timestamp = clock_->NowMs();
-  message.partition = partition;
-  int64_t offset = t->partitions[static_cast<size_t>(partition)]->Append(std::move(message));
-  produced_counter_->Increment();
-  ProduceResult result;
-  result.partition = partition;
-  result.offset = offset;
-  return result;
-}
-
-Result<ProduceResult> Broker::ProduceBatch(const std::string& topic, int32_t partition,
-                                           const wire::EncodedBatch& batch,
-                                           AckMode ack) {
-  Result<std::shared_ptr<Topic>> found = FindTopic(topic);
-  if (!found.ok()) return found.status();
-  std::shared_ptr<Topic> t = std::move(found.value());
-  if (partition < 0 || partition >= static_cast<int32_t>(t->partitions.size())) {
     return Status::InvalidArgument("partition out of range");
   }
   if (!available_.load(std::memory_order_acquire)) {
@@ -195,15 +135,19 @@ Result<ProduceResult> Broker::ProduceBatch(const std::string& topic, int32_t par
   if (common::FaultInjector* faults = faults_.load(std::memory_order_acquire)) {
     UBERRT_RETURN_IF_ERROR(faults->Check(produce_site_));
   }
-  // Batches carry no per-record headers; admit at the default priority with
-  // the whole batch as one unit block (shed-or-stored, never split).
+  // Capacity admission also fires before the append, with the whole batch
+  // as one unit block: a shed batch was never stored (shed-or-stored, never
+  // split), so the acked-or-error contract extends to load shedding.
   if (ProduceAdmission* admission = admission_.load(std::memory_order_acquire)) {
-    UBERRT_RETURN_IF_ERROR(
-        admission->AdmitProduce(topic, Priority::kImportant, batch.record_count));
+    UBERRT_RETURN_IF_ERROR(admission->AdmitProduce(topic, priority, batch.record_count));
   }
   // One coordination round trip per batch, not per record — the lever the
   // Kafka benchmark-practices paper identifies as dominating throughput.
   SpinCoordinationWork(ack);
+  if (partition < 0) {
+    partition = static_cast<int32_t>(t->round_robin.fetch_add(1) %
+                                     static_cast<uint64_t>(num_partitions));
+  }
   Result<int64_t> base =
       t->partitions[static_cast<size_t>(partition)]->AppendBatch(batch);
   if (!base.ok()) return base.status();

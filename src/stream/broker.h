@@ -74,21 +74,18 @@ class Broker : public MessageBus {
 
   // --- Produce / fetch ---------------------------------------------------
 
-  /// Appends a message. The partition is `message.partition` when >= 0,
-  /// otherwise derived from the key hash, otherwise round-robin.
-  /// A missing topic is NotFound even while the cluster is unavailable, so
-  /// retry logic never spins on a topic that will never exist.
-  Result<ProduceResult> Produce(const std::string& topic, Message message,
-                                AckMode ack = AckMode::kLeader) override;
-
-  /// Appends a pre-encoded batch to one explicit partition with a single
-  /// memcpy into the partition log's arena segment — the per-batch costs
-  /// (topic lookup, availability/fault gates, coordination work) are paid
-  /// once for the whole batch. Non-lossless topics drop the entire batch
-  /// while the cluster is down, mirroring Produce.
+  /// Appends a pre-encoded batch to one partition with a single memcpy
+  /// into the partition log's arena segment — the per-batch costs (topic
+  /// lookup, availability/fault/admission gates, coordination work) are paid
+  /// once for the whole batch. A negative `partition` is assigned
+  /// round-robin from the topic's counter. A missing topic is NotFound even
+  /// while the cluster is unavailable, so retry logic never spins on a topic
+  /// that will never exist. Non-lossless topics drop the entire batch while
+  /// the cluster is down.
   Result<ProduceResult> ProduceBatch(const std::string& topic, int32_t partition,
                                      const wire::EncodedBatch& batch,
-                                     AckMode ack = AckMode::kLeader) override;
+                                     AckMode ack = AckMode::kLeader,
+                                     Priority priority = Priority::kImportant) override;
 
   /// Appends a batch preserving offsets (federated topic migration): the
   /// batch's first record lands at `base_offset`, which must equal the
@@ -139,19 +136,18 @@ class Broker : public MessageBus {
   void SetAvailable(bool available);
   bool available() const;
 
-  /// Attaches the process-wide fault plane. Produce consults
+  /// Attaches the process-wide fault plane. ProduceBatch consults
   /// Check("broker.produce.<name>") and FetchViews Check("broker.fetch.<name>")
   /// after the availability gate, so an injected produce fault always means
-  /// the message was NOT appended (acked-or-error for lossless topics).
+  /// the batch was NOT appended (acked-or-error for lossless topics).
   void SetFaultInjector(common::FaultInjector* faults) {
     faults_.store(faults, std::memory_order_release);
   }
 
-  /// Attaches a capacity admission layer consulted on every Produce /
-  /// ProduceBatch after the availability and fault gates, before the append
-  /// (a rejected produce was never stored). Priority comes from the
-  /// message's kHeaderPriority header; batches are admitted at kImportant
-  /// with units = record_count. ReplicateBatch() is exempt: replication is
+  /// Attaches a capacity admission layer consulted on every ProduceBatch
+  /// after the availability and fault gates, before the append (a rejected
+  /// produce was never stored). A batch is admitted at its priority with
+  /// units = record_count. ReplicateBatch() is exempt: replication is
   /// internal traffic whose source was already admitted. Pass nullptr to
   /// detach. The admission object must outlive the broker or be detached
   /// first.

@@ -1,6 +1,8 @@
 #include "stream/dlq.h"
 
-#include <vector>
+#include <charconv>
+
+#include "stream/producer.h"
 
 namespace uberrt::stream {
 
@@ -22,19 +24,22 @@ Status DlqManager::EnsureTopics(const std::string& topic) {
 int32_t DlqManager::RetryCount(const Message& message) {
   auto it = message.headers.find(kHeaderRetryCount);
   if (it == message.headers.end()) return 0;
-  return static_cast<int32_t>(std::stol(it->second));
+  // The header comes from the producer: a malformed, out-of-range or
+  // negative count restarts the budget rather than throwing on a proxy
+  // worker or wrapping around.
+  const std::string& text = it->second;
+  int32_t count = 0;
+  auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), count);
+  if (error != std::errc() || end != text.data() + text.size() || count < 0) return 0;
+  return count;
 }
 
 Status DlqManager::HandleFailure(const std::string& topic, Message message) {
   int32_t retries = RetryCount(message);
-  message.headers[kHeaderRetryCount] = std::to_string(retries + 1);
-  message.offset = -1;  // will be re-assigned by the side topic
+  message.headers[kHeaderRetryCount] = std::to_string(int64_t{retries} + 1);
   const std::string target =
       retries < options_.max_retries ? RetryTopic(topic) : DlqTopic(topic);
-  Result<ProduceResult> produced = bus_->Produce(target, std::move(message),
-                                                 AckMode::kLeader);
-  if (!produced.ok()) return produced.status();
-  return Status::Ok();
+  return ProduceOne(bus_, target, message).status();
 }
 
 Result<int64_t> DlqManager::DrainDlq(const std::string& topic,
@@ -44,6 +49,7 @@ Result<int64_t> DlqManager::DrainDlq(const std::string& topic,
   Result<int32_t> partitions = bus_->NumPartitions(dlq);
   if (!partitions.ok()) return partitions.status();
   int64_t handled = 0;
+  BatchingProducer reinjected(bus_, topic);
   for (int32_t p = 0; p < partitions.value(); ++p) {
     int64_t position;
     Result<int64_t> committed = bus_->CommittedOffset(consumer_group, dlq, p);
@@ -65,13 +71,13 @@ Result<int64_t> DlqManager::DrainDlq(const std::string& topic,
           // Re-produce needs ownership: the retry header is rewritten.
           Message m = view.ToMessage();
           m.headers[kHeaderRetryCount] = "0";
-          m.offset = -1;
-          Result<ProduceResult> produced =
-              bus_->Produce(topic, std::move(m), AckMode::kLeader);
-          if (!produced.ok()) return produced.status();
+          UBERRT_RETURN_IF_ERROR(reinjected.Produce(m));
         }
       }
     }
+    // Reinjected messages are durable before the DLQ position moves past
+    // them.
+    UBERRT_RETURN_IF_ERROR(reinjected.Flush());
     UBERRT_RETURN_IF_ERROR(bus_->CommitOffset(consumer_group, dlq, p, position));
   }
   return handled;

@@ -39,7 +39,8 @@ class DlqManager {
   /// `retry_count` header.
   Status HandleFailure(const std::string& topic, Message message);
 
-  /// Number of retries already consumed by this message (from its header).
+  /// Number of retries already consumed by this message (from its header);
+  /// 0 when the header is missing, malformed, negative or out of range.
   static int32_t RetryCount(const Message& message);
 
   /// Re-injects every DLQ message into the main topic with a reset retry

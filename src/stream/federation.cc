@@ -17,6 +17,35 @@ std::string OffsetKey(const std::string& group, const std::string& topic,
   return group + '\0' + topic + '\0' + std::to_string(partition);
 }
 
+/// Re-appends every retained record of `topic` from `source` to the same
+/// partition and offset on `target`, a fetch chunk per batch. The first
+/// batch sets an empty target log's begin offset, so a head-truncated
+/// source keeps its offsets.
+Status CopyPartitions(const Broker& source, Broker* target, const std::string& topic) {
+  Result<int32_t> partitions = source.NumPartitions(topic);
+  if (!partitions.ok()) return partitions.status();
+  for (int32_t p = 0; p < partitions.value(); ++p) {
+    Result<int64_t> begin = source.BeginOffset(topic, p);
+    Result<int64_t> end = source.EndOffset(topic, p);
+    if (!begin.ok()) return begin.status();
+    if (!end.ok()) return end.status();
+    int64_t offset = begin.value();
+    while (offset < end.value()) {
+      Result<FetchedBatch> fetched = source.FetchViews(topic, p, offset, 1024);
+      if (!fetched.ok()) return fetched.status();
+      if (fetched.value().empty()) break;
+      wire::BatchBuilder builder;
+      for (const wire::MessageView& v : fetched.value().messages) {
+        builder.AddEncodedFrame(v.raw_frame, v.timestamp);
+      }
+      UBERRT_RETURN_IF_ERROR(target->ReplicateBatch(
+          topic, p, fetched.value().messages.front().offset, builder.Finish()));
+      offset = fetched.value().messages.back().offset + 1;
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status KafkaFederation::AddCluster(std::unique_ptr<Broker> cluster,
@@ -108,36 +137,23 @@ Result<int32_t> KafkaFederation::NumPartitions(const std::string& topic) const {
   return broker.value()->NumPartitions(topic);
 }
 
-Result<ProduceResult> KafkaFederation::Produce(const std::string& topic,
-                                               Message message, AckMode ack) {
-  Result<std::shared_ptr<Broker>> broker = Route(topic);
-  if (!broker.ok()) return broker.status();
-  Result<ProduceResult> result = broker.value()->Produce(topic, message, ack);
-  if (result.ok() || !result.status().IsUnavailable()) return result;
-  // Hosting cluster is down: fail the topic over to a healthy cluster and
-  // retry once. This is the availability improvement of federation.
-  UBERRT_RETURN_IF_ERROR(FailoverTopic(topic));
-  Result<std::shared_ptr<Broker>> rerouted = Route(topic);
-  if (!rerouted.ok()) return rerouted.status();
-  failover_produces_->Increment();
-  return rerouted.value()->Produce(topic, std::move(message), ack);
-}
-
 Result<ProduceResult> KafkaFederation::ProduceBatch(const std::string& topic,
                                                     int32_t partition,
                                                     const wire::EncodedBatch& batch,
-                                                    AckMode ack) {
+                                                    AckMode ack, Priority priority) {
   Result<std::shared_ptr<Broker>> broker = Route(topic);
   if (!broker.ok()) return broker.status();
-  Result<ProduceResult> result = broker.value()->ProduceBatch(topic, partition, batch, ack);
+  Result<ProduceResult> result =
+      broker.value()->ProduceBatch(topic, partition, batch, ack, priority);
   if (result.ok() || !result.status().IsUnavailable()) return result;
-  // Hosting cluster is down: fail over and retry once, exactly like the
-  // per-message path. The batch was not appended (acked-or-error holds).
+  // Hosting cluster is down: fail the topic over to a healthy cluster and
+  // retry once — the availability improvement of federation. The batch was
+  // not appended (acked-or-error holds).
   UBERRT_RETURN_IF_ERROR(FailoverTopic(topic));
   Result<std::shared_ptr<Broker>> rerouted = Route(topic);
   if (!rerouted.ok()) return rerouted.status();
   failover_produces_->Increment();
-  return rerouted.value()->ProduceBatch(topic, partition, batch, ack);
+  return rerouted.value()->ProduceBatch(topic, partition, batch, ack, priority);
 }
 
 Result<FetchedBatch> KafkaFederation::FetchViews(const std::string& topic,
@@ -185,26 +201,11 @@ Status KafkaFederation::MigrateTopic(const std::string& topic,
   }
   // Copy data preserving partition/offset so consumer positions stay valid.
   UBERRT_RETURN_IF_ERROR(target->CreateTopic(topic, config));
-  Result<int32_t> partitions = source->NumPartitions(topic);
-  if (!partitions.ok()) return partitions.status();
-  for (int32_t p = 0; p < partitions.value(); ++p) {
-    Result<int64_t> begin = source->BeginOffset(topic, p);
-    Result<int64_t> end = source->EndOffset(topic, p);
-    if (!begin.ok()) return begin.status();
-    if (!end.ok()) return end.status();
-    int64_t offset = begin.value();
-    while (offset < end.value()) {
-      Result<FetchedBatch> fetched = source->FetchViews(topic, p, offset, 1024);
-      if (!fetched.ok()) return fetched.status();
-      if (fetched.value().empty()) break;
-      wire::BatchBuilder builder;
-      for (const wire::MessageView& v : fetched.value().messages) {
-        builder.AddEncodedFrame(v.raw_frame, v.timestamp);
-      }
-      UBERRT_RETURN_IF_ERROR(target->ReplicateBatch(
-          topic, p, fetched.value().messages.front().offset, builder.Finish()));
-      offset = fetched.value().messages.back().offset + 1;
-    }
+  Status copied = CopyPartitions(*source, target.get(), topic);
+  if (!copied.ok()) {
+    // Leave nothing half-migrated behind: a retry starts from scratch.
+    target->DeleteTopic(topic).ok();
+    return copied;
   }
   // Flip the route atomically; in-flight consumers continue seamlessly.
   {

@@ -52,11 +52,13 @@ class KafkaFederation : public MessageBus {
   /// atomically re-routes. Live consumers continue without restart. Data
   /// moves a fetch chunk at a time, fetched frames re-appended verbatim as
   /// one batch, so batch-header overhead (and with it what size-based
-  /// retention keeps) stays close to the source's.
+  /// retention keeps) stays close to the source's. A head-truncated topic
+  /// keeps its begin offset on the target. On a copy error the target's
+  /// partial topic is deleted, so the migration can simply be retried.
   Status MigrateTopic(const std::string& topic, const std::string& target_cluster);
 
   /// Re-homes a topic whose hosting cluster died onto a healthy cluster
-  /// (fresh logs). Called automatically by Produce on cluster failure.
+  /// (fresh logs). Called automatically by ProduceBatch on cluster failure.
   Status FailoverTopic(const std::string& topic);
 
   // --- MessageBus ---------------------------------------------------------
@@ -64,13 +66,12 @@ class KafkaFederation : public MessageBus {
   Status CreateTopic(const std::string& topic, TopicConfig config) override;
   bool HasTopic(const std::string& topic) const override;
   Result<int32_t> NumPartitions(const std::string& topic) const override;
-  Result<ProduceResult> Produce(const std::string& topic, Message message,
-                                AckMode ack = AckMode::kLeader) override;
   /// Routes the batch to the hosting cluster's single-memcpy append; on
-  /// cluster failure fails the topic over and retries once, like Produce.
+  /// cluster failure fails the topic over and retries once.
   Result<ProduceResult> ProduceBatch(const std::string& topic, int32_t partition,
                                      const wire::EncodedBatch& batch,
-                                     AckMode ack = AckMode::kLeader) override;
+                                     AckMode ack = AckMode::kLeader,
+                                     Priority priority = Priority::kImportant) override;
   /// Zero-copy batch fetch routed to the hosting cluster.
   Result<FetchedBatch> FetchViews(const std::string& topic, int32_t partition,
                                   int64_t offset, size_t max_messages) const override;
@@ -118,7 +119,7 @@ class KafkaFederation : public MessageBus {
   std::map<std::string, Group> groups_;            // group\0topic
   std::map<std::string, int64_t> committed_;       // group\0topic\0partition
   mutable MetricsRegistry metrics_;
-  // Resolved once at construction; Produce's failover path and the control-
+  // Resolved once at construction; ProduceBatch's failover path and the control-
   // plane ops bump these without a registry lookup.
   Counter* topics_created_ = metrics_.GetCounter("federation.topics_created");
   Counter* failover_produces_ = metrics_.GetCounter("federation.failover_produces");

@@ -44,14 +44,6 @@ int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
   return base;
 }
 
-int64_t PartitionLog::Append(Message message) {
-  wire::BatchBuilder builder;
-  builder.Add(message);
-  wire::EncodedBatch batch = builder.Finish();
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendBatchLocked(batch);
-}
-
 Result<int64_t> PartitionLog::AppendBatch(const wire::EncodedBatch& batch) {
   UBERRT_RETURN_IF_ERROR(ValidateForAppend(batch));
   std::lock_guard<std::mutex> lock(mu_);
@@ -61,6 +53,9 @@ Result<int64_t> PartitionLog::AppendBatch(const wire::EncodedBatch& batch) {
 Status PartitionLog::AppendBatchAt(int64_t base_offset, const wire::EncodedBatch& batch) {
   UBERRT_RETURN_IF_ERROR(ValidateForAppend(batch));
   std::lock_guard<std::mutex> lock(mu_);
+  if (end_offset_ == 0 && base_offset > 0) {
+    begin_offset_ = end_offset_ = base_offset;
+  }
   if (base_offset != end_offset_) {
     return Status::InvalidArgument("offset gap: expected " + std::to_string(end_offset_) +
                                    " got " + std::to_string(base_offset));

@@ -85,11 +85,6 @@ class PartitionLog {
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
 
-  /// Appends one message as a single-record batch and assigns the next
-  /// offset, which is returned. (Per-message produce path; batched
-  /// producers should pre-encode with wire::BatchBuilder and use AppendBatch.)
-  int64_t Append(Message message);
-
   /// Appends a sealed batch with a single memcpy into the active arena
   /// segment. The batch is validated (magic, sizes, CRC, frame structure)
   /// before any state changes; Corruption means nothing was appended.
@@ -98,7 +93,9 @@ class PartitionLog {
 
   /// AppendBatch that preserves offsets (intra-federation topic migration):
   /// `base_offset` must equal the current end offset, else InvalidArgument
-  /// and nothing is appended.
+  /// and nothing is appended. A log that was never appended to adopts a
+  /// positive `base_offset` as its begin and end offset (Kafka's log start
+  /// offset), so a head-truncated partition migrates with its offsets.
   Status AppendBatchAt(int64_t base_offset, const wire::EncodedBatch& batch);
 
   /// Reads up to `max_messages` borrowed views starting at `offset`, with

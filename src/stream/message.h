@@ -41,9 +41,6 @@ inline constexpr char kHeaderUid[] = "uid";
 inline constexpr char kHeaderService[] = "service";
 inline constexpr char kHeaderTier[] = "tier";
 inline constexpr char kHeaderRetryCount[] = "retry_count";
-/// Capacity-admission priority class ("critical" / "important" /
-/// "besteffort", see stream/admission.h). Missing header = important.
-inline constexpr char kHeaderPriority[] = "priority";
 
 }  // namespace uberrt::stream
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "stream/admission.h"
 #include "stream/log.h"
 #include "stream/message.h"
 
@@ -32,7 +33,7 @@ struct TopicConfig {
 struct ProduceResult {
   int32_t partition = -1;
   int64_t offset = -1;
-  bool dropped = false;  ///< true when a non-lossless topic dropped the message
+  bool dropped = false;  ///< true when a non-lossless topic dropped the batch
 };
 
 /// Client-facing pub/sub surface — the paper's "Stream" abstraction
@@ -49,17 +50,16 @@ class MessageBus {
   virtual bool HasTopic(const std::string& topic) const = 0;
   virtual Result<int32_t> NumPartitions(const std::string& topic) const = 0;
 
-  virtual Result<ProduceResult> Produce(const std::string& topic, Message message,
-                                        AckMode ack) = 0;
-
-  /// Appends a pre-encoded batch (wire::BatchBuilder) to one partition.
+  /// The one write path: appends a pre-encoded batch (wire::BatchBuilder)
+  /// to one partition. A negative `partition` lets the broker pick one
+  /// round-robin. Capacity admission charges `record_count` units at
+  /// `priority`, so a batch is shed or stored as a whole.
   /// ProduceResult.offset is the base offset of the batch's first record.
   /// Timestamps are the producer's responsibility: frames are appended as
-  /// encoded, never re-stamped.
-  virtual Result<ProduceResult> ProduceBatch(const std::string& topic,
-                                             int32_t partition,
-                                             const wire::EncodedBatch& batch,
-                                             AckMode ack) = 0;
+  /// encoded, never re-stamped. Clients: stream/producer.h.
+  virtual Result<ProduceResult> ProduceBatch(
+      const std::string& topic, int32_t partition, const wire::EncodedBatch& batch,
+      AckMode ack, Priority priority = Priority::kImportant) = 0;
 
   /// The one read path: a batch of borrowed zero-copy views (see
   /// FetchedBatch for the lifetime rules). Call view.ToMessage() only where

@@ -4,6 +4,43 @@
 
 namespace uberrt::stream {
 
+namespace {
+
+/// The shared partition rule: the explicit partition, else the key hash,
+/// else -1 (keyless; the caller round-robins).
+int32_t PartitionFor(const Message& message, int32_t num_partitions) {
+  if (message.partition >= 0 || message.key.empty()) return message.partition;
+  return static_cast<int32_t>(
+      KeyToPartition(message.key, static_cast<uint32_t>(num_partitions)));
+}
+
+/// Encodes `message` into `builder`, stamping a zero timestamp with `now`.
+void AddStamped(wire::BatchBuilder& builder, const Message& message, TimestampMs now) {
+  if (message.timestamp != 0) {
+    builder.Add(message);
+    return;
+  }
+  Message stamped = message;
+  stamped.timestamp = now;
+  builder.Add(stamped);
+}
+
+}  // namespace
+
+Result<ProduceResult> ProduceOne(MessageBus* bus, const std::string& topic,
+                                 const Message& message, AckMode ack,
+                                 Priority priority) {
+  int32_t partition = message.partition;
+  if (partition < 0 && !message.key.empty()) {
+    Result<int32_t> n = bus->NumPartitions(topic);
+    if (!n.ok()) return n.status();
+    partition = PartitionFor(message, n.value());
+  }
+  wire::BatchBuilder builder;
+  AddStamped(builder, message, SystemClock::Instance()->NowMs());
+  return bus->ProduceBatch(topic, partition, builder.Finish(), ack, priority);
+}
+
 BatchingProducer::BatchingProducer(MessageBus* bus, std::string topic,
                                    BatchingProducerOptions options, Clock* clock)
     : bus_(bus), topic_(std::move(topic)), options_(options), clock_(clock) {}
@@ -22,17 +59,10 @@ Status BatchingProducer::EnsurePartitions() {
 Status BatchingProducer::Produce(const Message& message) {
   UBERRT_RETURN_IF_ERROR(EnsurePartitions());
   int32_t num_partitions = static_cast<int32_t>(buffers_.size());
-  // Client-side partitioning with the broker's rules: explicit partition,
-  // else key hash, else round-robin (here per message, across batches).
-  int32_t partition = message.partition;
+  int32_t partition = PartitionFor(message, num_partitions);
   if (partition < 0) {
-    if (!message.key.empty()) {
-      partition = static_cast<int32_t>(
-          KeyToPartition(message.key, static_cast<uint32_t>(num_partitions)));
-    } else {
-      partition = static_cast<int32_t>(round_robin_++ %
-                                       static_cast<uint64_t>(num_partitions));
-    }
+    partition = static_cast<int32_t>(round_robin_++ %
+                                     static_cast<uint64_t>(num_partitions));
   }
   if (partition >= num_partitions) {
     return Status::InvalidArgument("partition out of range");
@@ -40,13 +70,7 @@ Status BatchingProducer::Produce(const Message& message) {
   PartitionBuffer& buf = buffers_[static_cast<size_t>(partition)];
   TimestampMs now = clock_->NowMs();
   if (buf.builder.empty()) buf.oldest_buffered_ms = now;
-  if (message.timestamp == 0) {
-    Message stamped = message;  // broker stamps per-message produce; we batch
-    stamped.timestamp = now;
-    buf.builder.Add(stamped);
-  } else {
-    buf.builder.Add(message);
-  }
+  AddStamped(buf.builder, message, now);
   ++buffered_;
   if (buf.builder.count() >= options_.batch_records ||
       buf.builder.payload_bytes() >= options_.batch_bytes ||

@@ -8,6 +8,7 @@
 
 #include "common/clock.h"
 #include "common/status.h"
+#include "stream/admission.h"
 #include "stream/message_bus.h"
 
 namespace uberrt::stream {
@@ -26,11 +27,26 @@ struct BatchingProducerOptions {
   AckMode ack = AckMode::kLeader;
 };
 
+// The two write clients over MessageBus::ProduceBatch. Both place a message
+// by one rule: its explicit partition, else the hash of its key. Keyless
+// messages go round-robin. Both stamp timestamp 0 with their clock
+// (ProduceOne: the system clock).
+//  - BatchingProducer for bulk loops: flush before relying on delivery.
+//  - ProduceOne for one-off sends: one record, one batch, one result.
+
+/// Sends `message` to `topic` as a one-record batch admitted at `priority`
+/// and returns the bus's result (a keyless message takes the broker's
+/// round-robin partition). Never retried: the caller sees every shed and
+/// every error.
+Result<ProduceResult> ProduceOne(MessageBus* bus, const std::string& topic,
+                                 const Message& message,
+                                 AckMode ack = AckMode::kLeader,
+                                 Priority priority = Priority::kImportant);
+
 /// Batching producer for one topic: messages are encoded straight into
-/// per-partition wire::BatchBuilder buffers (client-side partitioning with
-/// the broker's key-hash/round-robin rules) and shipped with
-/// MessageBus::ProduceBatch — one routed, single-memcpy append per batch
-/// instead of one per message.
+/// per-partition wire::BatchBuilder buffers (keyless messages round-robin
+/// per message, across batches) and shipped with MessageBus::ProduceBatch —
+/// one routed, single-memcpy append per batch instead of one per message.
 ///
 /// Delivery contract: Produce() buffers and returns Ok; a batch is durable
 /// only once its flush returns Ok. A failed flush keeps the sealed batch
@@ -51,9 +67,8 @@ class BatchingProducer {
   BatchingProducer(const BatchingProducer&) = delete;
   BatchingProducer& operator=(const BatchingProducer&) = delete;
 
-  /// Buffers the message (stamping timestamp 0 with the clock, as the broker
-  /// does for per-message produce) and flushes any partition that hit its
-  /// record, byte, or linger budget.
+  /// Buffers the message (stamping timestamp 0 with the clock) and flushes
+  /// any partition that hit its record, byte, or linger budget.
   Status Produce(const Message& message);
 
   /// Flushes every partition with buffered or pending data.

@@ -1,5 +1,7 @@
 #include "workload/generators.h"
 
+#include "stream/producer.h"
+
 namespace uberrt::workload {
 
 namespace {
@@ -7,47 +9,36 @@ namespace {
 const char* kTripStatuses[] = {"requested", "accepted", "started", "completed",
                                "canceled"};
 
-Result<int64_t> ProduceWithNoise(stream::MessageBus* bus, const std::string& topic,
-                                 Row row, const std::string& key,
-                                 TimestampMs event_time, const std::string& uid,
-                                 const NoiseOptions& noise, Rng* rng) {
-  int64_t produced = 0;
-  stream::Message message;
-  message.key = key;
-  message.timestamp = event_time;
-  message.headers[stream::kHeaderUid] = uid;
-  message.headers[stream::kHeaderService] = "workload-gen";
-  if (noise.corrupt_probability > 0 && rng->Chance(noise.corrupt_probability)) {
-    message.value = "corrupt:" + rng->AlphaString(8);
-  } else {
-    message.value = EncodeRow(row);
-  }
-  Result<stream::ProduceResult> result =
-      bus->Produce(topic, message, stream::AckMode::kLeader);
-  if (!result.ok()) return result.status();
-  ++produced;
-  if (noise.duplicate_probability > 0 && rng->Chance(noise.duplicate_probability)) {
-    Result<stream::ProduceResult> dup =
-        bus->Produce(topic, std::move(message), stream::AckMode::kLeader);
-    if (!dup.ok()) return dup.status();
-    ++produced;
-  }
-  return produced;
-}
-
-}  // namespace
-
-Result<stream::ProduceResult> ProduceRow(stream::MessageBus* bus,
-                                         const std::string& topic, const Row& row,
-                                         const std::string& key, TimestampMs event_time,
-                                         const std::string& uid) {
+stream::Message RowMessage(const Row& row, const std::string& key,
+                           TimestampMs event_time, const std::string& uid) {
   stream::Message message;
   message.key = key;
   message.value = EncodeRow(row);
   message.timestamp = event_time;
   message.headers[stream::kHeaderUid] = uid;
-  return bus->Produce(topic, std::move(message), stream::AckMode::kLeader);
+  return message;
 }
+
+/// Buffers one generated event (plus a noise duplicate); returns how many
+/// records it buffered.
+Result<int64_t> ProduceWithNoise(stream::BatchingProducer* producer, const Row& row,
+                                 const std::string& key, TimestampMs event_time,
+                                 const std::string& uid, const NoiseOptions& noise,
+                                 Rng* rng) {
+  stream::Message message = RowMessage(row, key, event_time, uid);
+  message.headers[stream::kHeaderService] = "workload-gen";
+  if (noise.corrupt_probability > 0 && rng->Chance(noise.corrupt_probability)) {
+    message.value = "corrupt:" + rng->AlphaString(8);
+  }
+  UBERRT_RETURN_IF_ERROR(producer->Produce(message));
+  if (noise.duplicate_probability > 0 && rng->Chance(noise.duplicate_probability)) {
+    UBERRT_RETURN_IF_ERROR(producer->Produce(message));
+    return 2;
+  }
+  return 1;
+}
+
+}  // namespace
 
 // --- TripEventGenerator ------------------------------------------------------
 
@@ -86,17 +77,19 @@ Row TripEventGenerator::NextRow() {
 
 Result<int64_t> TripEventGenerator::Produce(stream::MessageBus* bus,
                                             const std::string& topic, int64_t count) {
+  stream::BatchingProducer producer(bus, topic);
   int64_t produced = 0;
   for (int64_t i = 0; i < count; ++i) {
     Row row = NextRow();
     std::string key = row[1].AsString();
     TimestampMs event_time = row[6].AsInt();
     std::string uid = "trip-" + std::to_string(row[0].AsInt());
-    Result<int64_t> n = ProduceWithNoise(bus, topic, std::move(row), key, event_time,
-                                         uid, options_.noise, &rng_);
+    Result<int64_t> n =
+        ProduceWithNoise(&producer, row, key, event_time, uid, options_.noise, &rng_);
     if (!n.ok()) return n;
     produced += n.value();
   }
+  UBERRT_RETURN_IF_ERROR(producer.Flush());
   return produced;
 }
 
@@ -115,13 +108,8 @@ OpenLoopTick TripEventGenerator::ProduceOpenLoop(
         u < mix.critical ? stream::Priority::kCritical
         : u < mix.critical + mix.important ? stream::Priority::kImportant
                                            : stream::Priority::kBestEffort;
-    stream::Message message;
-    message.key = key;
-    message.value = EncodeRow(row);
-    message.timestamp = event_time;
-    message.headers[stream::kHeaderUid] = uid;
+    stream::Message message = RowMessage(row, key, event_time, uid);
     message.headers[stream::kHeaderService] = "workload-gen";
-    message.headers[stream::kHeaderPriority] = stream::PriorityName(priority);
     ++tick.attempted;
     stream::MessageBus* bus = route ? route(key) : nullptr;
     if (bus == nullptr) {
@@ -129,7 +117,7 @@ OpenLoopTick TripEventGenerator::ProduceOpenLoop(
       continue;
     }
     Result<stream::ProduceResult> produced =
-        bus->Produce(topic, message, stream::AckMode::kLeader);
+        stream::ProduceOne(bus, topic, message, stream::AckMode::kLeader, priority);
     if (produced.ok()) {
       ++tick.acked;
       if (on_ack) on_ack(message, priority);
@@ -183,17 +171,19 @@ Row EatsOrderGenerator::NextRow() {
 
 Result<int64_t> EatsOrderGenerator::Produce(stream::MessageBus* bus,
                                             const std::string& topic, int64_t count) {
+  stream::BatchingProducer producer(bus, topic);
   int64_t produced = 0;
   for (int64_t i = 0; i < count; ++i) {
     Row row = NextRow();
     std::string key = row[1].ToString();  // restaurant id
     TimestampMs event_time = row[8].AsInt();
     std::string uid = "order-" + std::to_string(row[0].AsInt());
-    Result<int64_t> n = ProduceWithNoise(bus, topic, std::move(row), key, event_time,
-                                         uid, options_.noise, &rng_);
+    Result<int64_t> n =
+        ProduceWithNoise(&producer, row, key, event_time, uid, options_.noise, &rng_);
     if (!n.ok()) return n;
     produced += n.value();
   }
+  UBERRT_RETURN_IF_ERROR(producer.Flush());
   return produced;
 }
 
@@ -238,18 +228,18 @@ Result<int64_t> PredictionGenerator::ProducePairs(stream::MessageBus* bus,
                                                   const std::string& predictions_topic,
                                                   const std::string& outcomes_topic,
                                                   int64_t count) {
+  stream::BatchingProducer predictions(bus, predictions_topic);
+  stream::BatchingProducer outcomes(bus, outcomes_topic);
   for (int64_t i = 0; i < count; ++i) {
     Pair pair = NextPair();
     std::string key = pair.prediction[0].ToString();
-    Result<stream::ProduceResult> p =
-        ProduceRow(bus, predictions_topic, pair.prediction, key,
-                   pair.prediction[3].AsInt(), "pred-" + key);
-    if (!p.ok()) return p.status();
-    Result<stream::ProduceResult> o =
-        ProduceRow(bus, outcomes_topic, pair.outcome, key, pair.outcome[3].AsInt(),
-                   "outc-" + key);
-    if (!o.ok()) return o.status();
+    UBERRT_RETURN_IF_ERROR(predictions.Produce(RowMessage(
+        pair.prediction, key, pair.prediction[3].AsInt(), "pred-" + key)));
+    UBERRT_RETURN_IF_ERROR(outcomes.Produce(
+        RowMessage(pair.outcome, key, pair.outcome[3].AsInt(), "outc-" + key)));
   }
+  UBERRT_RETURN_IF_ERROR(predictions.Flush());
+  UBERRT_RETURN_IF_ERROR(outcomes.Flush());
   return count;
 }
 

@@ -73,17 +73,17 @@ class TripEventGenerator {
   Row NextRow();
 
   /// Produces `count` rows (encoded, keyed by hex, `uid` header set) to the
-  /// topic, applying the noise options. Returns rows produced (duplicates
-  /// count extra).
+  /// topic through a BatchingProducer flushed before returning, applying
+  /// the noise options. Returns rows produced (duplicates count extra).
   Result<int64_t> Produce(stream::MessageBus* bus, const std::string& topic,
                           int64_t count);
 
-  /// Open-loop drive for failover drills: offers `count` events, each
-  /// stamped with a priority drawn from `mix` (kHeaderPriority header) and
-  /// routed per event via `route(key)` — which is how the drill harness
-  /// points traffic at whatever region the coordinator's split says. A
-  /// nullptr route or failed produce is tallied, never retried (open loop:
-  /// riders keep requesting trips whether or not the region is melting).
+  /// Open-loop drive for failover drills: offers `count` events, each sent
+  /// alone (stream::ProduceOne) at a priority drawn from `mix` and routed
+  /// per event via `route(key)` — which is how the drill harness points
+  /// traffic at whatever region the coordinator's split says. A nullptr
+  /// route or failed produce is tallied, never retried (open loop: riders
+  /// keep requesting trips whether or not the region is melting).
   /// `on_ack` fires for every acked message (uid ledger for loss audits).
   OpenLoopTick ProduceOpenLoop(
       const std::function<stream::MessageBus*(const std::string& key)>& route,
@@ -172,13 +172,6 @@ class PredictionGenerator {
   int64_t next_id_ = 0;
   TimestampMs current_time_;
 };
-
-/// Attaches the Section 9.4 audit headers (uid, service, tier) and produces
-/// an encoded row.
-Result<stream::ProduceResult> ProduceRow(stream::MessageBus* bus,
-                                         const std::string& topic, const Row& row,
-                                         const std::string& key, TimestampMs event_time,
-                                         const std::string& uid);
 
 }  // namespace uberrt::workload
 

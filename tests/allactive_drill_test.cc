@@ -19,6 +19,7 @@
 #include "common/fault_injector.h"
 #include "common/rng.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::allactive {
 namespace {
@@ -29,12 +30,11 @@ using stream::Message;
 using stream::Priority;
 using stream::TopicConfig;
 
-Message Msg(const std::string& uid, const char* priority = nullptr) {
+Message Msg(const std::string& uid) {
   Message m;
   m.value = uid;
   m.timestamp = 1;
   m.headers[stream::kHeaderUid] = uid;
-  if (priority != nullptr) m.headers[stream::kHeaderPriority] = priority;
   return m;
 }
 
@@ -119,23 +119,27 @@ TEST(RegionCapacityTest, BrokerAdmissionGateRejectsBeforeAppend) {
   config.num_partitions = 1;
   ASSERT_TRUE(broker.CreateTopic("trips", config).ok());
 
+  const auto send = [&broker](const char* uid, Priority priority) {
+    return stream::ProduceOne(&broker, "trips", Msg(uid), stream::AckMode::kLeader,
+                              priority);
+  };
   // Best-effort ceiling = 2 units; the third is shed and must not append.
-  ASSERT_TRUE(broker.Produce("trips", Msg("a", "besteffort")).ok());
-  ASSERT_TRUE(broker.Produce("trips", Msg("b", "besteffort")).ok());
-  Result<stream::ProduceResult> shed = broker.Produce("trips", Msg("c", "besteffort"));
+  ASSERT_TRUE(send("a", Priority::kBestEffort).ok());
+  ASSERT_TRUE(send("b", Priority::kBestEffort).ok());
+  Result<stream::ProduceResult> shed = send("c", Priority::kBestEffort);
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(broker.EndOffset("trips", 0).value(), 2);  // acked-or-error
 
-  // An unlabeled message defaults to kImportant and still fits.
-  ASSERT_TRUE(broker.Produce("trips", Msg("d")).ok());
+  // An unlabeled send defaults to kImportant and still fits.
+  ASSERT_TRUE(stream::ProduceOne(&broker, "trips", Msg("d")).ok());
   // Critical uses the reserve the lower classes cannot touch.
-  ASSERT_TRUE(broker.Produce("trips", Msg("e", "critical")).ok());
-  ASSERT_TRUE(broker.Produce("trips", Msg("f", "critical")).ok());
-  EXPECT_EQ(broker.Produce("trips", Msg("g", "critical")).status().code(),
+  ASSERT_TRUE(send("e", Priority::kCritical).ok());
+  ASSERT_TRUE(send("f", Priority::kCritical).ok());
+  EXPECT_EQ(send("g", Priority::kCritical).status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(broker.EndOffset("trips", 0).value(), 5);
   broker.SetAdmission(nullptr);
-  ASSERT_TRUE(broker.Produce("trips", Msg("h", "besteffort")).ok());
+  ASSERT_TRUE(send("h", Priority::kBestEffort).ok());
 }
 
 // --- Partial failover & deterministic routing -------------------------------

@@ -19,6 +19,7 @@
 #include "compute/job_manager.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt {
 namespace {
@@ -64,8 +65,8 @@ TEST(ChaosSoakTest, NoAckedMessageLostUnderBrokerFaults) {
     message.key = uid;
     message.value = uid;
     message.timestamp = 1000 + i;
-    Status produced =
-        produce_retry.Run([&] { return broker.Produce("events", message).status(); });
+    Status produced = produce_retry.Run(
+        [&] { return stream::ProduceOne(&broker, "events", message).status(); });
     if (produced.ok()) acked.insert(uid);
   }
   // The fault plane really fired, and the retry loop really absorbed hits.
@@ -153,7 +154,7 @@ TEST(ChaosSoakTest, OlapStaysCorrectUnderServerChurnAndStoreFlaps) {
       m.value = EncodeRow({Value(produced), Value(std::string("sf")),
                            Value(10.0 + i), Value(int64_t{1000})});
       m.timestamp = 1000;
-      ASSERT_TRUE(broker.Produce("rides", std::move(m)).ok());
+      ASSERT_TRUE(stream::ProduceOne(&broker, "rides", std::move(m)).ok());
       ++produced;
     }
     ASSERT_TRUE(cluster.IngestAll("rides_t").ok());
@@ -248,7 +249,7 @@ TEST(ChaosSoakTest, CheckpointCrashRestartKeepsCountsExact) {
       m.key = "A";
       m.value = EncodeRow({Value(std::string("A")), Value(1.0), Value(int64_t{1000 + i})});
       m.timestamp = 1000 + i;
-      ASSERT_TRUE(broker.Produce("events", std::move(m)).ok());
+      ASSERT_TRUE(stream::ProduceOne(&broker, "events", std::move(m)).ok());
     }
   };
 
@@ -422,7 +423,7 @@ TEST(ChaosSoakTest, TieredQueriesStayExactWhileStoreFlapsDuringColdReloads) {
       m.value = EncodeRow({Value(produced), Value(std::string("sf")),
                            Value(10.0 + i), Value(int64_t{1000})});
       m.timestamp = 1000;
-      ASSERT_TRUE(broker.Produce("rides", std::move(m)).ok());
+      ASSERT_TRUE(stream::ProduceOne(&broker, "rides", std::move(m)).ok());
       ++produced;
     }
     // Ingest/seal triggers budget enforcement under put faults: evictions

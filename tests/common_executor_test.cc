@@ -19,6 +19,7 @@
 #include "common/queue.h"
 #include "compute/job_runner.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::common {
 namespace {
@@ -216,7 +217,7 @@ TEST(ExecutorTest, WideJobRunsBoundedByTwoThreadSharedPool) {
     m.key = "hex" + std::to_string(i % 7);
     m.value = EncodeRow({Value(m.key), Value(1.0 * i), Value(int64_t{1000} + i)});
     m.timestamp = 1000 + i;
-    ASSERT_TRUE(broker.Produce("trips", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(&broker, "trips", std::move(m)).ok());
   }
 
   Executor pool(ExecutorOptions{2, 0, "executor.test"});

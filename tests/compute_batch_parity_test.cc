@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "compute/job_runner.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 // Batch-at-a-time dataflow parity: the batched runtime (ElementBatch
 // channels, vectorized ProcessBatch, operator chaining) must produce exactly
@@ -150,7 +151,7 @@ void ProduceEvents(Broker* broker, const std::string& topic, Rng* rng, int count
     std::string key = "k" + std::to_string(rng->Uniform(0, 7));
     double v = static_cast<double>(rng->Uniform(0, 80));
     int64_t ts = ts_base + i * 10 + rng->Uniform(0, 5) * 10;
-    ASSERT_TRUE(broker->Produce(topic, EventMessage(key, v, ts)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker, topic, EventMessage(key, v, ts)).ok());
   }
 }
 
@@ -199,12 +200,10 @@ TEST_P(BatchParityTest, WindowJoinAcrossBatchSizes) {
   for (int i = 0; i < 150; ++i) {
     std::string key = "k" + std::to_string(rng.Uniform(0, 4));
     int64_t ts = i * 10 + rng.Uniform(0, 5) * 10;
+    ASSERT_TRUE(stream::ProduceOne(&broker, "left", EventMessage(key, 1.0 + i, ts)).ok());
+    const std::string right_key = "k" + std::to_string(rng.Uniform(0, 4));
     ASSERT_TRUE(
-        broker.Produce("left", EventMessage(key, 1.0 + i, ts)).ok());
-    ASSERT_TRUE(
-        broker.Produce("right", EventMessage("k" + std::to_string(rng.Uniform(0, 4)),
-                                             2.0 + i, ts + 3))
-            .ok());
+        stream::ProduceOne(&broker, "right", EventMessage(right_key, 2.0 + i, ts + 3)).ok());
   }
   auto make_graph = [&] {
     JobGraph graph("proto");

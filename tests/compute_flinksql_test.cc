@@ -5,6 +5,7 @@
 #include "compute/flink_sql.h"
 #include "compute/job_runner.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::compute {
 namespace {
@@ -36,7 +37,7 @@ class FlinkSqlTest : public ::testing::Test {
     m.key = restaurant;
     m.value = EncodeRow({Value(restaurant), Value(total), Value(status), Value(ts)});
     m.timestamp = ts;
-    ASSERT_TRUE(broker_->Produce("orders", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "orders", std::move(m)).ok());
   }
 
   std::vector<Row> RunBounded(const JobGraph& graph) {
@@ -149,7 +150,7 @@ TEST_F(FlinkSqlTest, TopicOverrideRedirectsSource) {
   m.value = EncodeRow({Value("rX"), Value(5.0), Value("delivered"),
                        Value(int64_t{42})});
   m.timestamp = 42;
-  ASSERT_TRUE(broker_->Produce("orders_replay", std::move(m)).ok());
+  ASSERT_TRUE(stream::ProduceOne(broker_.get(), "orders_replay", std::move(m)).ok());
   FlinkSqlOptions options;
   options.topic_override = "orders_replay";
   Result<JobGraph> graph =

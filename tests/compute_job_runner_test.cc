@@ -7,6 +7,7 @@
 
 #include "common/fault_injector.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::compute {
 namespace {
@@ -14,6 +15,7 @@ namespace {
 using stream::AckMode;
 using stream::Broker;
 using stream::Message;
+using stream::ProduceOne;
 using stream::TopicConfig;
 
 RowSchema TripSchema() {
@@ -46,9 +48,8 @@ class JobRunnerTest : public ::testing::Test {
 
 TEST_F(JobRunnerTest, MapFilterPipelineDeliversAllRows) {
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        broker_->Produce("trips", TripMessage("hex" + std::to_string(i % 7), i, 1000 + i))
-            .ok());
+    const Message m = TripMessage("hex" + std::to_string(i % 7), i, 1000 + i);
+    ASSERT_TRUE(ProduceOne(broker_.get(), "trips", m).ok());
   }
   std::mutex mu;
   std::vector<Row> results;
@@ -85,8 +86,8 @@ TEST_F(JobRunnerTest, TumblingWindowCountsPerKey) {
   for (int w = 0; w < 3; ++w) {
     for (int i = 0; i < 10; ++i) {
       int64_t ts = w * 60000 + i * 100;
-      ASSERT_TRUE(broker_->Produce("trips", TripMessage("A", 1.0, ts)).ok());
-      ASSERT_TRUE(broker_->Produce("trips", TripMessage("B", 2.0, ts)).ok());
+      ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("A", 1.0, ts)).ok());
+      ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("B", 2.0, ts)).ok());
     }
   }
   std::mutex mu;
@@ -149,7 +150,7 @@ TEST_F(JobRunnerTest, CheckpointRestartResumesWithoutDuplicateState) {
 
   // Phase 1: half the data, checkpoint, crash.
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(broker_->Produce("trips", TripMessage("A", 1.0, 1000 + i)).ok());
+    ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("A", 1.0, 1000 + i)).ok());
   }
   {
     JobRunner runner(make_graph(), broker_.get(), store_.get());
@@ -163,7 +164,7 @@ TEST_F(JobRunnerTest, CheckpointRestartResumesWithoutDuplicateState) {
 
   // Phase 2: rest of the data, restore, finish.
   for (int i = 50; i < 100; ++i) {
-    ASSERT_TRUE(broker_->Produce("trips", TripMessage("A", 1.0, 1000 + i)).ok());
+    ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("A", 1.0, 1000 + i)).ok());
   }
   {
     JobRunner runner(make_graph(), broker_.get(), store_.get());
@@ -193,12 +194,12 @@ TEST_F(JobRunnerTest, WindowJoinMatchesWithinWindow) {
     p.key = "m" + std::to_string(i % 2);
     p.value = EncodeRow({Value(p.key), Value(0.5 + i), Value(static_cast<int64_t>(1000 + i))});
     p.timestamp = 1000 + i;
-    ASSERT_TRUE(broker_->Produce("predictions", p).ok());
+    ASSERT_TRUE(ProduceOne(broker_.get(), "predictions", p).ok());
     Message o;
     o.key = p.key;
     o.value = EncodeRow({Value(o.key), Value(0.4 + i), Value(static_cast<int64_t>(1001 + i))});
     o.timestamp = 1001 + i;
-    ASSERT_TRUE(broker_->Produce("outcomes", o).ok());
+    ASSERT_TRUE(ProduceOne(broker_.get(), "outcomes", o).ok());
   }
 
   std::mutex mu;
@@ -252,10 +253,10 @@ TEST_F(JobRunnerTest, LateRecordsAreDropped) {
   JobRunner runner(graph, broker_.get(), store_.get());
   ASSERT_TRUE(runner.Start().ok());
   // Window [0,1000) then jump to 5000 (fires it), then a late record at 500.
-  ASSERT_TRUE(broker_->Produce("trips", TripMessage("A", 1.0, 100)).ok());
-  ASSERT_TRUE(broker_->Produce("trips", TripMessage("A", 1.0, 5000)).ok());
+  ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("A", 1.0, 100)).ok());
+  ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("A", 1.0, 5000)).ok());
   ASSERT_TRUE(runner.WaitUntilCaughtUp(10000).ok());
-  ASSERT_TRUE(broker_->Produce("trips", TripMessage("A", 1.0, 500)).ok());
+  ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("A", 1.0, 500)).ok());
   runner.RequestFinish();
   ASSERT_TRUE(runner.AwaitTermination(10000).ok());
   EXPECT_EQ(runner.LateDropped(), 1);
@@ -266,8 +267,8 @@ TEST_F(JobRunnerTest, LateRecordsAreDropped) {
 TEST_F(JobRunnerTest, CorruptMessagesCountedNotFatal) {
   Message bad;
   bad.value = "not-a-row";
-  ASSERT_TRUE(broker_->Produce("trips", bad).ok());
-  ASSERT_TRUE(broker_->Produce("trips", TripMessage("A", 1.0, 100)).ok());
+  ASSERT_TRUE(ProduceOne(broker_.get(), "trips", bad).ok());
+  ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("A", 1.0, 100)).ok());
 
   std::mutex mu;
   std::vector<Row> results;
@@ -308,9 +309,8 @@ std::multiset<int64_t> SinkFares(Broker* broker, const std::string& topic) {
 TEST_F(JobRunnerTest, FailedSinkFlushesAreRetriedExactlyOnce) {
   constexpr int kRows = 2000;
   for (int i = 0; i < kRows; ++i) {
-    ASSERT_TRUE(
-        broker_->Produce("trips", TripMessage("hex" + std::to_string(i % 7), i, 1000 + i))
-            .ok());
+    const Message m = TripMessage("hex" + std::to_string(i % 7), i, 1000 + i);
+    ASSERT_TRUE(ProduceOne(broker_.get(), "trips", m).ok());
   }
   TopicConfig out_config;
   out_config.num_partitions = 2;
@@ -348,7 +348,7 @@ TEST_F(JobRunnerTest, FailedSinkFlushesAreRetriedExactlyOnce) {
 
 TEST_F(JobRunnerTest, UndeliveredSinkRowsHoldTheJobNotCaughtUp) {
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(broker_->Produce("trips", TripMessage("h", i, 1000 + i)).ok());
+    ASSERT_TRUE(ProduceOne(broker_.get(), "trips", TripMessage("h", i, 1000 + i)).ok());
   }
   TopicConfig out_config;
   out_config.num_partitions = 2;

@@ -9,12 +9,14 @@
 #include "compute/job_manager.h"
 #include "stream/broker.h"
 #include "workload/generators.h"
+#include "stream/producer.h"
 
 namespace uberrt::compute {
 namespace {
 
 using stream::Broker;
 using stream::Message;
+using stream::ProduceOne;
 using stream::TopicConfig;
 
 RowSchema EventSchema() {
@@ -86,7 +88,9 @@ TEST_F(JobManagerTest, CrashedJobAutoRestartsFromCheckpointWithCorrectState) {
   Result<std::string> id = manager_->Submit(CountingGraph(&results, &mu));
   ASSERT_TRUE(id.ok());
   // Feed half the data, checkpoint via Tick, then crash it.
-  for (int i = 0; i < 40; ++i) broker_->Produce("events", Event("A", 1.0, 1000 + i)).ok();
+  for (int i = 0; i < 40; ++i) {
+    ProduceOne(broker_.get(), "events", Event("A", 1.0, 1000 + i)).ok();
+  }
   JobRunner* runner = manager_->GetRunner(id.value());
   ASSERT_TRUE(runner->WaitUntilCaughtUp(10000).ok());
   ASSERT_TRUE(manager_->Tick().ok());  // takes a checkpoint
@@ -106,7 +110,9 @@ TEST_F(JobManagerTest, CrashedJobAutoRestartsFromCheckpointWithCorrectState) {
   EXPECT_EQ(info.value().restarts, 1);
 
   // Feed the rest; the window total must be exact (state survived).
-  for (int i = 40; i < 80; ++i) broker_->Produce("events", Event("A", 1.0, 1000 + i)).ok();
+  for (int i = 40; i < 80; ++i) {
+    ProduceOne(broker_.get(), "events", Event("A", 1.0, 1000 + i)).ok();
+  }
   JobRunner* restarted = manager_->GetRunner(id.value());
   ASSERT_TRUE(restarted->WaitUntilCaughtUp(10000).ok());
   restarted->RequestFinish();
@@ -128,7 +134,8 @@ TEST_F(JobManagerTest, LagTriggersAutoScaleWithStateRedistribution) {
   ASSERT_TRUE(id.ok());
   // Let some state accumulate and checkpoint it at parallelism 1.
   for (int i = 0; i < 50; ++i) {
-    broker_->Produce("events", Event("k" + std::to_string(i % 7), 1.0, 1000 + i)).ok();
+    const std::string key = "k" + std::to_string(i % 7);
+    ProduceOne(broker_.get(), "events", Event(key, 1.0, 1000 + i)).ok();
   }
   ASSERT_TRUE(manager_->GetRunner(id.value())->WaitUntilCaughtUp(10000).ok());
   ASSERT_TRUE(manager_->Tick().ok());
@@ -139,7 +146,8 @@ TEST_F(JobManagerTest, LagTriggersAutoScaleWithStateRedistribution) {
   broker_->SetFaultInjector(&faults_);
   faults_.SetDown("broker.fetch.c1", true);
   for (int i = 0; i < 2000; ++i) {
-    broker_->Produce("events", Event("k" + std::to_string(i % 7), 1.0, 2000 + i)).ok();
+    const std::string key = "k" + std::to_string(i % 7);
+    ProduceOne(broker_.get(), "events", Event(key, 1.0, 2000 + i)).ok();
   }
   ASSERT_TRUE(manager_->Tick().ok());
   faults_.ClearRule("broker.fetch.c1");
@@ -318,10 +326,10 @@ TEST_F(BackfillTest, KappaFromKafkaLosesTruncatedHistory) {
   ASSERT_TRUE(broker_->CreateTopic("events", config).ok());
   TimestampMs now = SystemClock::Instance()->NowMs();
   for (int i = 0; i < 100; ++i) {
-    broker_->Produce("events", Event("k", 1.0, now - 50'000)).ok();  // old
+    ProduceOne(broker_.get(), "events", Event("k", 1.0, now - 50'000)).ok();  // old
   }
   for (int i = 0; i < 20; ++i) {
-    broker_->Produce("events", Event("k", 1.0, now)).ok();  // recent
+    ProduceOne(broker_.get(), "events", Event("k", 1.0, now)).ok();  // recent
   }
   broker_->ApplyRetention();
   Result<int64_t> replayable = KappaReplayableRecords(broker_.get(), "events");
@@ -338,7 +346,7 @@ TEST(MicroBatchBaselineTest, SameAnswersFarMoreMemoryThanIncremental) {
   // 20 keys x 3 windows x 25 records.
   for (int w = 0; w < 3; ++w) {
     for (int i = 0; i < 500; ++i) {
-      broker.Produce("events", Event("k" + std::to_string(i % 20), 2.0,
+      ProduceOne(&broker, "events", Event("k" + std::to_string(i % 20), 2.0,
                                      w * 60'000 + (i / 20) * 100)).ok();
     }
   }

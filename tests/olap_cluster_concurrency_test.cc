@@ -19,6 +19,7 @@
 #include "common/executor.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::olap {
 namespace {
@@ -59,7 +60,7 @@ class OlapClusterConcurrencyTest : public ::testing::Test {
                            Value(10.0 + (base + i) % 5),
                            Value(int64_t{1000} + base + i)});
       m.timestamp = 1000 + base + i;
-      ASSERT_TRUE(broker_->Produce("rides", std::move(m)).ok());
+      ASSERT_TRUE(stream::ProduceOne(broker_.get(), "rides", std::move(m)).ok());
     }
   }
 

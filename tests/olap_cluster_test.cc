@@ -6,6 +6,7 @@
 #include "olap/baselines.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::olap {
 namespace {
@@ -42,7 +43,7 @@ class OlapClusterTest : public ::testing::Test {
     m.key = key.empty() ? city : key;
     m.value = EncodeRow({Value(id), Value(city), Value(fare), Value(status), Value(ts)});
     m.timestamp = ts;
-    ASSERT_TRUE(broker_->Produce("rides", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "rides", std::move(m)).ok());
   }
 
   TableConfig RideTable(const std::string& name = "rides_t") {
@@ -192,7 +193,7 @@ TEST_F(OlapClusterTest, UpsertKeepsLatestVersionOnly) {
     m.key = ride;  // stream partitioned by primary key
     m.value = EncodeRow({Value(ride), Value(fare), Value(status)});
     m.timestamp = 1;
-    ASSERT_TRUE(broker_->Produce("fares", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "fares", std::move(m)).ok());
   };
   // 30 rides, then correct fares for 10 of them (the paper's
   // "correcting a ride fare" scenario). Crosses seal boundaries.
@@ -316,7 +317,7 @@ TEST_F(OlapClusterTest, IngestOnceSkipsCorruptRunAndDrainsToSnapshot) {
     Message m;
     m.key = "sf";
     m.value = "\xff\xff not a row";
-    ASSERT_TRUE(broker_->Produce("rides", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "rides", std::move(m)).ok());
   }
   for (int i = 100; i < 200; ++i) ProduceRide(i, "sf", 1.0, "completed", 1000, "sf");
   TableConfig config = RideTable();

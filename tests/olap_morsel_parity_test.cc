@@ -17,6 +17,7 @@
 #include "common/hash.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::olap {
 namespace {
@@ -54,7 +55,7 @@ class OlapMorselParityTest : public ::testing::Test {
     m.key = key.empty() ? "k" + std::to_string(id % 16) : key;
     m.value = EncodeRow({Value(id), Value(city), Value(fare), Value(ts)});
     m.timestamp = ts;
-    ASSERT_TRUE(broker_->Produce("rides", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "rides", std::move(m)).ok());
   }
 
   TableConfig RideTable(const std::string& name = "rides_t") {
@@ -314,7 +315,7 @@ TEST_F(OlapMorselParityTest, ResultCacheInvalidationIsPartitionScoped) {
     m.key = ride;
     m.value = EncodeRow({Value(ride), Value(fare)});
     m.timestamp = 1;
-    ASSERT_TRUE(broker_->Produce("fares", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "fares", std::move(m)).ok());
   };
   produce(key_a, 10.0);
   produce(key_b, 20.0);

@@ -18,6 +18,7 @@
 #include "common/hash.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::olap {
 namespace {
@@ -56,7 +57,7 @@ class OlapTieringTest : public ::testing::Test {
     m.key = key.empty() ? "k" + std::to_string(id % 16) : key;
     m.value = EncodeRow({Value(id), Value(city), Value(fare), Value(ts)});
     m.timestamp = ts;
-    ASSERT_TRUE(broker_->Produce("rides", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "rides", std::move(m)).ok());
   }
 
   TableConfig RideTable(const std::string& name = "rides_t") {
@@ -360,7 +361,7 @@ TEST_F(OlapTieringTest, UpsertRecoveryAcrossTiers) {
     m.key = "ride" + std::to_string(id);
     m.value = EncodeRow({Value("ride" + std::to_string(id)), Value(fare)});
     m.timestamp = 1;
-    ASSERT_TRUE(broker_->Produce("fares", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "fares", std::move(m)).ok());
   };
   for (int id = 0; id < 60; ++id) produce(id, 10.0 + id);
   ASSERT_TRUE(cluster_->IngestAll("fares_t").ok());

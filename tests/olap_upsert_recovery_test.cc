@@ -21,6 +21,7 @@
 #include "common/fault_injector.h"
 #include "olap/cluster.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::olap {
 namespace {
@@ -59,7 +60,7 @@ class OlapUpsertRecoveryTest : public ::testing::Test {
     m.key = ride;  // stream partitioned by primary key
     m.value = EncodeRow({Value(ride), Value(fare), Value(status)});
     m.timestamp = 1;
-    ASSERT_TRUE(broker_->Produce("fares", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "fares", std::move(m)).ok());
   }
 
   struct CountSum {
@@ -221,7 +222,7 @@ TEST_F(OlapUpsertRecoveryTest, StoreOutageBlocksIngestionButNotQueries) {
     m.key = "k";
     m.value = EncodeRow({Value(id), Value(1.0)});
     m.timestamp = 1;
-    ASSERT_TRUE(broker_->Produce("rides", std::move(m)).ok());
+    ASSERT_TRUE(stream::ProduceOne(broker_.get(), "rides", std::move(m)).ok());
   };
   for (int i = 0; i < 40; ++i) produce_ride(i);
   ASSERT_TRUE(cluster_->IngestAll("rides_t").ok());  // queryable tail, no seal

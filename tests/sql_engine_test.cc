@@ -4,6 +4,7 @@
 #include "sql/engine.h"
 #include "storage/archive.h"
 #include "stream/broker.h"
+#include "stream/producer.h"
 
 namespace uberrt::sql {
 namespace {
@@ -48,7 +49,7 @@ class PrestoEngineTest : public ::testing::Test {
                            Value(i % 10 == 0 ? std::string("abandoned")
                                              : std::string("delivered"))});
       m.timestamp = 1;
-      ASSERT_TRUE(broker_->Produce("orders_raw", std::move(m)).ok());
+      ASSERT_TRUE(stream::ProduceOne(broker_.get(), "orders_raw", std::move(m)).ok());
     }
     ASSERT_TRUE(cluster_->IngestAll("orders").ok());
 

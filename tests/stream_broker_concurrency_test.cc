@@ -16,6 +16,7 @@
 #include "stream/consumer.h"
 #include "stream/federation.h"
 #include "stream/ureplicator.h"
+#include "stream/producer.h"
 
 namespace uberrt::stream {
 namespace {
@@ -56,7 +57,7 @@ TEST(BrokerConcurrencyTest, DeleteTopicWhileFetchAndProduceInFlight) {
   });
   std::thread producer([&] {
     while (!stop.load()) {
-      if (broker.Produce("t", Msg("", "v")).ok()) produces.fetch_add(1);
+      if (ProduceOne(&broker, "t", Msg("", "v")).ok()) produces.fetch_add(1);
     }
   });
   wire::BatchBuilder builder;
@@ -107,7 +108,8 @@ TEST(BrokerConcurrencyTest, RetentionThreadVsTopicChurn) {
   std::thread producer([&] {
     int i = 0;
     while (!stop.load()) {
-      broker.Produce("t" + std::to_string(i++ % 4), Msg("", "xxxxxxxxxxxxxxxx")).ok();
+      const std::string topic = "t" + std::to_string(i++ % 4);
+      ProduceOne(&broker, topic, Msg("", "xxxxxxxxxxxxxxxx")).ok();
     }
   });
   for (int i = 0; i < 300; ++i) {
@@ -135,7 +137,7 @@ TEST(BrokerConcurrencyTest, ParallelTrafficOnDistinctTopics) {
     threads.emplace_back([&broker, t] {
       std::string topic = "t" + std::to_string(t);
       for (int i = 0; i < kPerTopic; ++i) {
-        ASSERT_TRUE(broker.Produce(topic, Msg("", "v")).ok());
+        ASSERT_TRUE(ProduceOne(&broker, topic, Msg("", "v")).ok());
         broker.CommitOffset("g", topic, 0, i).ok();
         broker.ConsumerLag("g", topic).ok();
       }
@@ -153,7 +155,7 @@ TEST(BrokerConcurrencyTest, ParallelTrafficOnDistinctTopics) {
 TEST(BrokerConcurrencyTest, RebalanceLoopWithAvailabilityFlips) {
   Broker broker("c");
   ASSERT_TRUE(broker.CreateTopic("t", Partitions(8)).ok());
-  for (int i = 0; i < 64; ++i) broker.Produce("t", Msg("", "v")).ok();
+  for (int i = 0; i < 64; ++i) ProduceOne(&broker, "t", Msg("", "v")).ok();
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> pollers;
@@ -180,7 +182,7 @@ TEST(BrokerConcurrencyTest, RebalanceLoopWithAvailabilityFlips) {
     }
   });
   std::thread producer([&] {
-    while (!stop.load()) broker.Produce("t", Msg("k", "v")).ok();
+    while (!stop.load()) ProduceOne(&broker, "t", Msg("k", "v")).ok();
   });
 
   SystemClock::Instance()->SleepMs(300);
@@ -207,7 +209,7 @@ TEST(BrokerConcurrencyTest, FullStressSoak) {
     threads.emplace_back([&broker, &stop, p] {
       int i = 0;
       while (!stop.load()) {
-        broker.Produce(i++ % 2 == 0 ? "stable" : "churn",
+        ProduceOne(&broker, i++ % 2 == 0 ? "stable" : "churn",
                        Msg("k" + std::to_string(p), "payload")).ok();
       }
     });
@@ -262,7 +264,7 @@ TEST(FederationConcurrencyTest, ProduceDuringAvailabilityFlapAndFailover) {
   for (int p = 0; p < 3; ++p) {
     producers.emplace_back([&] {
       while (!stop.load()) {
-        if (federation.Produce("t", Msg("k", "v")).ok()) produced.fetch_add(1);
+        if (ProduceOne(&federation, "t", Msg("k", "v")).ok()) produced.fetch_add(1);
         federation.FetchViews("t", 0, 0, 16).ok();
         federation.ConsumerLag("g", "t").ok();
       }
@@ -293,7 +295,7 @@ TEST(UReplicatorConcurrencyTest, MovedCounterReadableDuringRebalances) {
   Broker source("src");
   Broker destination("dst");
   ASSERT_TRUE(source.CreateTopic("t", Partitions(8)).ok());
-  for (int i = 0; i < 256; ++i) source.Produce("t", Msg("", "v")).ok();
+  for (int i = 0; i < 256; ++i) ProduceOne(&source, "t", Msg("", "v")).ok();
   UReplicator replicator(&source, &destination, "r", nullptr);
   ASSERT_TRUE(replicator.AddTopic("t").ok());
   std::atomic<bool> stop{false};

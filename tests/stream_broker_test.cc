@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/fault_injector.h"
 #include "stream/broker.h"
 #include "stream/consumer.h"
 #include "stream/log.h"
+#include "stream/producer.h"
 
 namespace uberrt::stream {
 namespace {
@@ -20,10 +23,36 @@ Message Msg(const std::string& key, const std::string& value, TimestampMs ts = 0
   return m;
 }
 
+wire::EncodedBatch Batch(const std::vector<Message>& messages) {
+  wire::BatchBuilder builder;
+  for (const Message& m : messages) builder.Add(m);
+  return builder.Finish();
+}
+
+/// Admission stub: each non-critical class may use `budget` units, then is
+/// shed; critical is always admitted.
+class BudgetAdmission : public ProduceAdmission {
+ public:
+  explicit BudgetAdmission(int64_t budget) : budget_(budget) {}
+  Status AdmitProduce(const std::string&, Priority priority, int64_t units) override {
+    int64_t& used = used_[static_cast<size_t>(priority)];
+    if (priority != Priority::kCritical && used + units > budget_) {
+      return Status::ResourceExhausted("shed");
+    }
+    used += units;
+    return Status::Ok();
+  }
+  int64_t used(Priority priority) const { return used_[static_cast<size_t>(priority)]; }
+
+ private:
+  int64_t budget_;
+  std::array<int64_t, kNumPriorities> used_{};
+};
+
 TEST(PartitionLogTest, OffsetsAreDenseAndMonotonic) {
   PartitionLog log;
-  EXPECT_EQ(log.Append(Msg("", "a")), 0);
-  EXPECT_EQ(log.Append(Msg("", "b")), 1);
+  EXPECT_EQ(log.AppendBatch(Batch({Msg("", "a")})).value(), 0);
+  EXPECT_EQ(log.AppendBatch(Batch({Msg("", "b")})).value(), 1);
   EXPECT_EQ(log.BeginOffset(), 0);
   EXPECT_EQ(log.EndOffset(), 2);
   Result<FetchedBatch> read = log.ReadViews(0, 10);
@@ -35,7 +64,7 @@ TEST(PartitionLogTest, OffsetsAreDenseAndMonotonic) {
 
 TEST(PartitionLogTest, ReadBoundsChecked) {
   PartitionLog log;
-  log.Append(Msg("", "a"));
+  log.AppendBatch(Batch({Msg("", "a")})).value();
   EXPECT_TRUE(log.ReadViews(5, 1).status().code() == StatusCode::kOutOfRange);
   // Reading at end offset returns empty, not an error.
   Result<FetchedBatch> at_end = log.ReadViews(1, 1);
@@ -45,7 +74,9 @@ TEST(PartitionLogTest, ReadBoundsChecked) {
 
 TEST(PartitionLogTest, AgeRetentionAdvancesBeginOffset) {
   PartitionLog log;
-  for (int i = 0; i < 10; ++i) log.Append(Msg("", "m", /*ts=*/i * 100));
+  for (int i = 0; i < 10; ++i) {
+    log.AppendBatch(Batch({Msg("", "m", /*ts=*/i * 100)})).value();
+  }
   RetentionPolicy policy;
   policy.max_age_ms = 500;
   int64_t dropped = log.ApplyRetention(policy, /*now=*/1000);
@@ -59,7 +90,9 @@ TEST(PartitionLogTest, AgeRetentionAdvancesBeginOffset) {
 
 TEST(PartitionLogTest, SizeRetentionKeepsNewest) {
   PartitionLog log;
-  for (int i = 0; i < 100; ++i) log.Append(Msg("", std::string(100, 'x'), 1));
+  for (int i = 0; i < 100; ++i) {
+    log.AppendBatch(Batch({Msg("", std::string(100, 'x'), 1)})).value();
+  }
   RetentionPolicy policy;
   policy.max_bytes = 1500;
   log.ApplyRetention(policy, 0);
@@ -85,25 +118,70 @@ TEST_F(BrokerTest, TopicLifecycle) {
   EXPECT_TRUE(broker_->CreateTopic("t", TopicConfig()).IsAlreadyExists());
   EXPECT_TRUE(broker_->DeleteTopic("t").ok());
   EXPECT_FALSE(broker_->HasTopic("t"));
-  EXPECT_TRUE(broker_->Produce("t", Msg("k", "v")).status().IsNotFound());
+  EXPECT_TRUE(ProduceOne(broker_.get(), "t", Msg("k", "v")).status().IsNotFound());
 }
 
 TEST_F(BrokerTest, KeyedMessagesLandOnOnePartition) {
   int32_t first = -1;
   for (int i = 0; i < 10; ++i) {
-    Result<ProduceResult> r = broker_->Produce("t", Msg("same-key", "v"));
+    Result<ProduceResult> r = ProduceOne(broker_.get(), "t", Msg("same-key", "v"));
     ASSERT_TRUE(r.ok());
     if (first < 0) first = r.value().partition;
     EXPECT_EQ(r.value().partition, first);
   }
 }
 
-TEST_F(BrokerTest, KeylessMessagesRoundRobin) {
-  std::set<int32_t> partitions;
+TEST_F(BrokerTest, NegativePartitionRoundRobinsAcrossEveryPartition) {
+  // ProduceBatch with partition -1 takes the topic's round-robin counter;
+  // keyless ProduceOne sends ride the same counter.
+  std::map<int32_t, int> batches;
   for (int i = 0; i < 8; ++i) {
-    partitions.insert(broker_->Produce("t", Msg("", "v")).value().partition);
+    Result<ProduceResult> r =
+        broker_->ProduceBatch("t", -1, Batch({Msg("", "a", 5), Msg("", "b", 5)}));
+    ASSERT_TRUE(r.ok());
+    ++batches[r.value().partition];
+  }
+  ASSERT_EQ(batches.size(), 4u);
+  for (int32_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(batches[p], 2) << "partition " << p;
+    EXPECT_EQ(broker_->EndOffset("t", p).value(), 4);
+  }
+  std::set<int32_t> partitions;
+  for (int i = 0; i < 4; ++i) {
+    partitions.insert(ProduceOne(broker_.get(), "t", Msg("", "v")).value().partition);
   }
   EXPECT_EQ(partitions.size(), 4u);
+  EXPECT_TRUE(broker_->ProduceBatch("t", 4, Batch({Msg("", "v", 5)}))
+                  .status()
+                  .code() == StatusCode::kInvalidArgument);
+}
+
+TEST_F(BrokerTest, BatchIsShedOrAdmittedWholeAtItsPriority) {
+  BudgetAdmission admission(/*budget=*/10);
+  broker_->SetAdmission(&admission);
+  const wire::EncodedBatch batch = Batch(std::vector<Message>(16, Msg("k", "v", 5)));
+  // Sixteen best-effort records exceed the budget of ten: the batch is shed
+  // as one block, and nothing of it is stored.
+  Result<ProduceResult> shed =
+      broker_->ProduceBatch("t", 0, batch, AckMode::kLeader, Priority::kBestEffort);
+  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(broker_->EndOffset("t", 0).value(), 0);
+  EXPECT_EQ(admission.used(Priority::kBestEffort), 0);
+  // The same batch at the critical class is admitted, charged per record.
+  Result<ProduceResult> admitted =
+      broker_->ProduceBatch("t", 0, batch, AckMode::kLeader, Priority::kCritical);
+  ASSERT_TRUE(admitted.ok());
+  EXPECT_EQ(admitted.value().offset, 0);
+  EXPECT_EQ(broker_->EndOffset("t", 0).value(), 16);
+  EXPECT_EQ(admission.used(Priority::kCritical), 16);
+  // Unlabeled batches are important; one-off sends carry their class too.
+  EXPECT_TRUE(broker_->ProduceBatch("t", 1, Batch({Msg("k", "v", 5)})).ok());
+  EXPECT_EQ(admission.used(Priority::kImportant), 1);
+  EXPECT_TRUE(ProduceOne(broker_.get(), "t", Msg("k", "v"), AckMode::kLeader,
+                         Priority::kBestEffort)
+                  .ok());
+  EXPECT_EQ(admission.used(Priority::kBestEffort), 1);
+  broker_->SetAdmission(nullptr);
 }
 
 TEST_F(BrokerTest, UnavailableClusterBehaviour) {
@@ -113,15 +191,15 @@ TEST_F(BrokerTest, UnavailableClusterBehaviour) {
   ASSERT_TRUE(broker_->CreateTopic("surge", lossy).ok());
   broker_->SetAvailable(false);
   // Lossless topic: hard failure.
-  EXPECT_TRUE(broker_->Produce("t", Msg("k", "v")).status().IsUnavailable());
+  EXPECT_TRUE(ProduceOne(broker_.get(), "t", Msg("k", "v")).status().IsUnavailable());
   // Non-lossless topic: silently dropped (availability over consistency).
-  Result<ProduceResult> dropped = broker_->Produce("surge", Msg("k", "v"));
+  Result<ProduceResult> dropped = ProduceOne(broker_.get(), "surge", Msg("k", "v"));
   ASSERT_TRUE(dropped.ok());
   EXPECT_TRUE(dropped.value().dropped);
   // Fetch fails while down.
   EXPECT_TRUE(broker_->FetchViews("t", 0, 0, 1).status().IsUnavailable());
   broker_->SetAvailable(true);
-  EXPECT_TRUE(broker_->Produce("t", Msg("k", "v")).ok());
+  EXPECT_TRUE(ProduceOne(broker_.get(), "t", Msg("k", "v")).ok());
   // The dropped message is really gone.
   EXPECT_EQ(broker_->EndOffset("surge", 0).value(), 0);
 }
@@ -132,15 +210,18 @@ TEST_F(BrokerTest, MissingTopicIsNotFoundEvenWhenUnavailable) {
   // would retry forever against a topic that will never exist. Existence is
   // checked first now.
   broker_->SetAvailable(false);
-  EXPECT_TRUE(broker_->Produce("ghost", Msg("k", "v")).status().IsNotFound());
+  EXPECT_TRUE(ProduceOne(broker_.get(), "ghost", Msg("k", "v")).status().IsNotFound());
+  EXPECT_TRUE(broker_->ProduceBatch("ghost", -1, Batch({Msg("", "v", 5)}))
+                  .status()
+                  .IsNotFound());
   EXPECT_TRUE(broker_->FetchViews("ghost", 0, 0, 1).status().IsNotFound());
   wire::BatchBuilder builder;
   builder.Add(Msg("k", "v"));
   EXPECT_TRUE(broker_->ReplicateBatch("ghost", 0, 0, builder.Finish()).IsNotFound());
   // Existing topics keep the availability semantics.
-  EXPECT_TRUE(broker_->Produce("t", Msg("k", "v")).status().IsUnavailable());
+  EXPECT_TRUE(ProduceOne(broker_.get(), "t", Msg("k", "v")).status().IsUnavailable());
   broker_->SetAvailable(true);
-  EXPECT_TRUE(broker_->Produce("ghost", Msg("k", "v")).status().IsNotFound());
+  EXPECT_TRUE(ProduceOne(broker_.get(), "ghost", Msg("k", "v")).status().IsNotFound());
 }
 
 TEST_F(BrokerTest, RangeAssignmentIsContiguousAndBalanced) {
@@ -183,7 +264,7 @@ TEST_F(BrokerTest, ConsumerGroupAssignmentCoversAllPartitions) {
 }
 
 TEST_F(BrokerTest, CommittedOffsetsAndLag) {
-  for (int i = 0; i < 10; ++i) broker_->Produce("t", Msg("", "v")).ok();
+  for (int i = 0; i < 10; ++i) ProduceOne(broker_.get(), "t", Msg("", "v")).ok();
   EXPECT_TRUE(broker_->CommittedOffset("g", "t", 0).status().IsNotFound());
   EXPECT_EQ(broker_->ConsumerLag("g", "t").value(), 10);
   for (int32_t p = 0; p < 4; ++p) {
@@ -195,7 +276,8 @@ TEST_F(BrokerTest, CommittedOffsetsAndLag) {
 
 TEST_F(BrokerTest, ConsumerPollsAllMessagesAndRebalances) {
   for (int i = 0; i < 20; ++i) {
-    broker_->Produce("t", Msg("k" + std::to_string(i), "v" + std::to_string(i))).ok();
+    const std::string n = std::to_string(i);
+    ProduceOne(broker_.get(), "t", Msg("k" + n, "v" + n)).ok();
   }
   Consumer c1(broker_.get(), "g", "t", "m1");
   ASSERT_TRUE(c1.Subscribe().ok());
@@ -209,7 +291,7 @@ TEST_F(BrokerTest, ConsumerPollsAllMessagesAndRebalances) {
   Consumer c2(broker_.get(), "g", "t", "m2");
   ASSERT_TRUE(c2.Subscribe().ok());
   for (int i = 0; i < 20; ++i) {
-    broker_->Produce("t", Msg("k" + std::to_string(i), "w")).ok();
+    ProduceOne(broker_.get(), "t", Msg("k" + std::to_string(i), "w")).ok();
   }
   size_t total = c1.PollViews(100).value().size() + c2.PollViews(100).value().size();
   EXPECT_EQ(total, 20u);  // no duplicates, nothing lost
@@ -222,13 +304,15 @@ TEST_F(BrokerTest, ConsumerSurvivesRetentionTruncation) {
   ASSERT_TRUE(broker_->CreateTopic("short", config).ok());
   TimestampMs now = SystemClock::Instance()->NowMs();
   for (int i = 0; i < 5; ++i) {
-    broker_->Produce("short", Msg("", "old", now - 10'000)).ok();
+    ProduceOne(broker_.get(), "short", Msg("", "old", now - 10'000)).ok();
   }
   Consumer consumer(broker_.get(), "g", "short", "m");
   ASSERT_TRUE(consumer.Subscribe().ok());
   // Truncate everything before the consumer reads.
   broker_->ApplyRetention();
-  for (int i = 0; i < 3; ++i) broker_->Produce("short", Msg("", "new", now)).ok();
+  for (int i = 0; i < 3; ++i) {
+    ProduceOne(broker_.get(), "short", Msg("", "new", now)).ok();
+  }
   Result<FetchedBatch> batch = consumer.PollViews(100);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch.value().size(), 3u);  // jumped to the retained range
@@ -240,7 +324,7 @@ TEST_F(BrokerTest, ConsumerSurvivesRetentionTruncation) {
 TEST_F(BrokerTest, FailedPollLeavesPositionsSoNoMessageIsSkipped) {
   constexpr int kMessages = 4000;
   for (int i = 0; i < kMessages; ++i) {
-    ASSERT_TRUE(broker_->Produce("t", Msg("k" + std::to_string(i), "v")).ok());
+    ASSERT_TRUE(ProduceOne(broker_.get(), "t", Msg("k" + std::to_string(i), "v")).ok());
   }
   common::FaultInjector faults(/*seed=*/7);
   common::FaultRule flaky;
@@ -295,7 +379,7 @@ TEST(BrokerCoordinationTest, ClusterSizeCoordinationCost) {
     for (int i = 0; i < 3000; ++i) {
       Message m;
       m.value = "x";
-      broker.Produce("t", std::move(m)).ok();
+      ProduceOne(&broker, "t", std::move(m)).ok();
     }
     return SystemClock::Instance()->NowMs() - start + 1;
   };

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
 #include "stream/broker.h"
 #include "stream/consumer_proxy.h"
 #include "stream/dlq.h"
+#include "stream/producer.h"
 
 namespace uberrt::stream {
 namespace {
@@ -57,6 +59,35 @@ TEST_F(DlqTest, FailureRoutesToRetryThenDlq) {
   EXPECT_EQ(dlq_->DlqDepth("t").value(), 1);
 }
 
+// The retry header comes from producers: a malformed or out-of-range value
+// must neither throw on a proxy worker nor wrap to an arbitrary count.
+TEST_F(DlqTest, MalformedRetryHeaderCountsAsZero) {
+  Message m = Msg("k", "v");
+  for (const char* bad : {"oops", "99999999999", "-3", "12abc", ""}) {
+    m.headers[kHeaderRetryCount] = bad;
+    EXPECT_EQ(DlqManager::RetryCount(m), 0) << bad;
+  }
+  m.headers[kHeaderRetryCount] = "7";
+  EXPECT_EQ(DlqManager::RetryCount(m), 7);
+  m.headers[kHeaderRetryCount] = "2147483647";
+  EXPECT_EQ(DlqManager::RetryCount(m), 2147483647);
+  // Past the budget: parked, with the next count written without overflow.
+  ASSERT_TRUE(dlq_->HandleFailure("t", m).ok());
+  EXPECT_EQ(dlq_->DlqDepth("t").value(), 1);
+  // A malformed count restarts the budget: the message goes to retry.
+  m.headers[kHeaderRetryCount] = "oops";
+  ASSERT_TRUE(dlq_->HandleFailure("t", m).ok());
+  EXPECT_EQ(dlq_->DlqDepth("t").value(), 1);
+  Result<FetchedBatch> retry = broker_->FetchViews("t__retry", 0, 0, 10);
+  Result<FetchedBatch> retry1 = broker_->FetchViews("t__retry", 1, 0, 10);
+  ASSERT_TRUE(retry.ok() && retry1.ok());
+  retry.value().Merge(std::move(retry1.value()));
+  ASSERT_EQ(retry.value().size(), 1u);
+  std::string_view count;
+  ASSERT_TRUE(retry.value().messages[0].GetHeader(kHeaderRetryCount, &count));
+  EXPECT_EQ(count, "1");
+}
+
 TEST_F(DlqTest, MergeReinjectsAndPurgeDrops) {
   Message m = Msg("k", "bad");
   m.headers[kHeaderRetryCount] = "5";  // over budget -> straight to DLQ
@@ -95,7 +126,8 @@ class ConsumerProxyTest : public ::testing::Test {
 
 TEST_F(ConsumerProxyTest, DispatchesEveryMessageOnce) {
   for (int i = 0; i < 200; ++i) {
-    broker_->Produce("t", Msg("k" + std::to_string(i), "v" + std::to_string(i))).ok();
+    const std::string n = std::to_string(i);
+    ProduceOne(broker_.get(), "t", Msg("k" + n, "v" + n)).ok();
   }
   std::atomic<int64_t> received{0};
   ConsumerProxyOptions options;
@@ -119,7 +151,7 @@ TEST_F(ConsumerProxyTest, ParallelismBeyondPartitionCount) {
   // partition-bound consumption would allow. We assert concurrency directly:
   // the max number of simultaneously-running endpoint calls exceeds the
   // partition count.
-  for (int i = 0; i < 64; ++i) broker_->Produce("t", Msg("", "v")).ok();
+  for (int i = 0; i < 64; ++i) ProduceOne(broker_.get(), "t", Msg("", "v")).ok();
   std::atomic<int32_t> in_endpoint{0};
   std::atomic<int32_t> max_concurrent{0};
   ConsumerProxyOptions options;
@@ -144,7 +176,7 @@ TEST_F(ConsumerProxyTest, ParallelismBeyondPartitionCount) {
 
 TEST_F(ConsumerProxyTest, PoisonMessagesGoToDlqWithoutBlockingTraffic) {
   for (int i = 0; i < 50; ++i) {
-    broker_->Produce("t", Msg("k" + std::to_string(i),
+    ProduceOne(broker_.get(), "t", Msg("k" + std::to_string(i),
                               i % 10 == 0 ? "poison" : "ok")).ok();
   }
   std::atomic<int64_t> processed{0};
@@ -167,6 +199,32 @@ TEST_F(ConsumerProxyTest, PoisonMessagesGoToDlqWithoutBlockingTraffic) {
   EXPECT_EQ(proxy.dead_lettered(), 5);
   EXPECT_EQ(proxy.dlq()->DlqDepth("t").value(), 5);
   // And nothing was lost: 45 ok + 5 parked = 50.
+}
+
+TEST_F(ConsumerProxyTest, MalformedRetryHeaderDoesNotStopWorkers) {
+  for (int i = 0; i < 20; ++i) {
+    Message m = Msg("k" + std::to_string(i), i % 4 == 0 ? "poison" : "ok");
+    m.headers[kHeaderRetryCount] = i % 2 == 0 ? "oops" : "99999999999";
+    ASSERT_TRUE(ProduceOne(broker_.get(), "t", m).ok());
+  }
+  std::atomic<int64_t> processed{0};
+  ConsumerProxyOptions options;
+  options.num_workers = 4;
+  options.max_retries = 2;
+  ConsumerProxy proxy(broker_.get(), "t", "g",
+                      [&](const Message& m) {
+                        if (m.value == "poison") return Status::Internal("cannot parse");
+                        processed.fetch_add(1);
+                        return Status::Ok();
+                      },
+                      options);
+  ASSERT_TRUE(proxy.Start().ok());
+  ASSERT_TRUE(proxy.WaitUntilCaughtUp().ok());
+  proxy.Stop();
+  EXPECT_EQ(processed.load(), 15);
+  // Each poison message restarted its budget at 0 and used all of it.
+  EXPECT_EQ(proxy.dead_lettered(), 5);
+  EXPECT_EQ(proxy.dlq()->DlqDepth("t").value(), 5);
 }
 
 }  // namespace

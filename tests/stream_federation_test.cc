@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <string>
 
+#include "common/fault_injector.h"
 #include "stream/consumer.h"
 #include "stream/federation.h"
+#include "stream/producer.h"
 
 namespace uberrt::stream {
 namespace {
@@ -55,7 +59,7 @@ TEST_F(FederationTest, TransparentRouting) {
   TopicConfig config;
   config.num_partitions = 1;
   ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
-  Result<ProduceResult> produced = federation_.Produce("t", Msg("k", "v1"));
+  Result<ProduceResult> produced = ProduceOne(&federation_, "t", Msg("k", "v1"));
   ASSERT_TRUE(produced.ok());
   Result<FetchedBatch> fetched = federation_.FetchViews("t", 0, 0, 10);
   ASSERT_TRUE(fetched.ok());
@@ -70,7 +74,7 @@ TEST_F(FederationTest, ProduceFailsOverWhenHostClusterDies) {
   std::string host = federation_.HostingCluster("t").value();
   federation_.GetCluster(host).value()->SetAvailable(false);
   // Produce triggers automatic failover to a healthy cluster.
-  Result<ProduceResult> produced = federation_.Produce("t", Msg("k", "v"));
+  Result<ProduceResult> produced = ProduceOne(&federation_, "t", Msg("k", "v"));
   ASSERT_TRUE(produced.ok()) << produced.status().ToString();
   std::string new_host = federation_.HostingCluster("t").value();
   EXPECT_NE(new_host, host);
@@ -82,7 +86,8 @@ TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
   config.num_partitions = 2;
   ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
   for (int i = 0; i < 10; ++i) {
-    federation_.Produce("t", Msg("k" + std::to_string(i), "v" + std::to_string(i))).ok();
+    const std::string n = std::to_string(i);
+    ProduceOne(&federation_, "t", Msg("k" + n, "v" + n)).ok();
   }
   Consumer consumer(&federation_, "g", "t", "m1");
   ASSERT_TRUE(consumer.Subscribe().ok());
@@ -104,7 +109,7 @@ TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
   EXPECT_EQ(got, 5u);
 
   // New data lands on the new cluster and still flows.
-  federation_.Produce("t", Msg("kx", "fresh")).ok();
+  ProduceOne(&federation_, "t", Msg("kx", "fresh")).ok();
   EXPECT_EQ(consumer.PollViews(10).value().size(), 1u);
 }
 
@@ -112,7 +117,7 @@ TEST_F(FederationTest, GroupStateSurvivesMigration) {
   TopicConfig config;
   config.num_partitions = 1;
   ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
-  for (int i = 0; i < 6; ++i) federation_.Produce("t", Msg("", "v")).ok();
+  for (int i = 0; i < 6; ++i) ProduceOne(&federation_, "t", Msg("", "v")).ok();
   ASSERT_TRUE(federation_.CommitOffset("g", "t", 0, 4).ok());
   std::string host = federation_.HostingCluster("t").value();
   ASSERT_TRUE(federation_.MigrateTopic("t", host == "c1" ? "c2" : "c1").ok());
@@ -153,6 +158,58 @@ TEST_F(FederationTest, MigrationKeepsSizeRetentionFootprint) {
   EXPECT_GT(kept("stayed"), 10'000);
   // Within one migration fetch chunk (1024 records) of the unmigrated topic.
   EXPECT_LE(std::abs(kept("migrated") - kept("stayed")), 1024);
+}
+
+// A head-truncated topic migrates with its offsets (the target's fresh log
+// starts at the source's begin offset, not 0), and a failed copy leaves no
+// target topic behind, so a retry does not hit AlreadyExists.
+TEST_F(FederationTest, MigratesHeadTruncatedTopicAndRetriesAfterCopyError) {
+  TopicConfig config;
+  config.num_partitions = 1;
+  config.retention.max_bytes = 10'000;
+  ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
+  auto value_at = [](int64_t offset) {
+    std::string v = std::to_string(offset);
+    return v + std::string(40 - v.size(), 'x');  // 40 B each
+  };
+  for (int64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(ProduceOne(&federation_, "t", Msg("", value_at(i))).ok());
+  }
+  const std::string host = federation_.HostingCluster("t").value();
+  const std::string target = host == "c1" ? "c2" : "c1";
+  std::shared_ptr<Broker> source = federation_.GetCluster(host).value();
+  source->ApplyRetention();
+  const int64_t begin = federation_.BeginOffset("t", 0).value();
+  ASSERT_GT(begin, 0);
+  ASSERT_EQ(federation_.EndOffset("t", 0).value(), 1000);
+
+  // One injected fetch fault aborts the copy: the route stays put and the
+  // half-built target topic is gone.
+  common::FaultInjector faults(/*seed=*/1);
+  common::FaultRule once;
+  once.error_probability = 1.0;
+  once.max_triggers = 1;
+  faults.SetRule("broker.fetch." + host, once);
+  source->SetFaultInjector(&faults);
+  EXPECT_TRUE(federation_.MigrateTopic("t", target).IsUnavailable());
+  EXPECT_EQ(federation_.HostingCluster("t").value(), host);
+  EXPECT_FALSE(federation_.GetCluster(target).value()->HasTopic("t"));
+
+  // The retry succeeds and preserves every retained offset.
+  ASSERT_TRUE(federation_.MigrateTopic("t", target).ok());
+  source->SetFaultInjector(nullptr);
+  EXPECT_EQ(federation_.HostingCluster("t").value(), target);
+  EXPECT_EQ(federation_.BeginOffset("t", 0).value(), begin);
+  EXPECT_EQ(federation_.EndOffset("t", 0).value(), 1000);
+  Result<FetchedBatch> copied = federation_.FetchViews("t", 0, begin, 2000);
+  ASSERT_TRUE(copied.ok());
+  ASSERT_EQ(static_cast<int64_t>(copied.value().size()), 1000 - begin);
+  for (const wire::MessageView& v : copied.value().messages) {
+    ASSERT_EQ(v.value, value_at(v.offset));
+  }
+  Result<ProduceResult> next = ProduceOne(&federation_, "t", Msg("", "next"));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value().offset, 1000);
 }
 
 }  // namespace

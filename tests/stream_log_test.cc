@@ -100,8 +100,8 @@ TEST(StreamLogTest, AppendBatchAssignsDenseOffsetsAcrossBatches) {
   Result<int64_t> first = log.AppendBatch(Batch({Msg("", "a"), Msg("", "b")}));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value(), 0);
-  // Single-message append interleaves with batches.
-  EXPECT_EQ(log.Append(Msg("", "c")), 2);
+  // A one-record batch interleaves with larger ones.
+  EXPECT_EQ(log.AppendBatch(Batch({Msg("", "c")})).value(), 2);
   Result<int64_t> second = log.AppendBatch(Batch({Msg("", "d")}));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value(), 3);
@@ -118,7 +118,9 @@ TEST(StreamLogTest, AppendBatchAssignsDenseOffsetsAcrossBatches) {
 
 TEST(StreamLogTest, OffsetContinuityAcrossTruncation) {
   PartitionLog log;
-  for (int i = 0; i < 10; ++i) log.Append(Msg("", "m" + std::to_string(i), 100 + i));
+  for (int i = 0; i < 10; ++i) {
+    log.AppendBatch(Batch({Msg("", "m" + std::to_string(i), 100 + i)})).value();
+  }
   RetentionPolicy policy;
   policy.max_age_ms = 5;
   ASSERT_EQ(log.ApplyRetention(policy, /*now=*/110), 5);  // ts 100..104 dropped
@@ -133,7 +135,7 @@ TEST(StreamLogTest, OffsetContinuityAcrossTruncation) {
   // from the preserved numbering.
   EXPECT_TRUE(log.ReadViews(4, 1).status().code() == StatusCode::kOutOfRange);
   EXPECT_TRUE(log.ReadViews(11, 1).status().code() == StatusCode::kOutOfRange);
-  EXPECT_EQ(log.Append(Msg("", "next")), 10);
+  EXPECT_EQ(log.AppendBatch(Batch({Msg("", "next")})).value(), 10);
 }
 
 TEST(StreamLogTest, AppendBatchAtRejectsGaps) {
@@ -146,6 +148,20 @@ TEST(StreamLogTest, AppendBatchAtRejectsGaps) {
   EXPECT_EQ(log.AppendBatchAt(0, Batch({Msg("", "c")})).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(log.EndOffset(), 1);
+}
+
+TEST(StreamLogTest, EmptyLogAdoptsFirstReplicatedBaseOffset) {
+  // Kafka's log start offset: a fresh log receiving a head-truncated
+  // partition starts where the source's retained data starts.
+  PartitionLog log;
+  ASSERT_TRUE(log.AppendBatchAt(887, Batch({Msg("", "a"), Msg("", "b")})).ok());
+  EXPECT_EQ(log.BeginOffset(), 887);
+  EXPECT_EQ(log.EndOffset(), 889);
+  EXPECT_EQ(log.ReadViews(888, 1).value().messages[0].value, "b");
+  EXPECT_EQ(log.AppendBatch(Batch({Msg("", "c")})).value(), 889);
+  // Once the log holds offsets, gaps are rejected again.
+  EXPECT_EQ(log.AppendBatchAt(900, Batch({Msg("", "d")})).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(StreamLogTest, ViewsSurviveRetentionViaPins) {

@@ -3,6 +3,7 @@
 #include "stream/broker.h"
 #include "stream/chaperone.h"
 #include "stream/ureplicator.h"
+#include "stream/producer.h"
 
 namespace uberrt::stream {
 namespace {
@@ -33,7 +34,7 @@ TEST_F(UReplicatorTest, ReplicatesAllMessagesInPartitionOrder) {
   for (int i = 0; i < 100; ++i) {
     Message m = Msg("v" + std::to_string(i));
     m.partition = i % 8;
-    source_->Produce("t", std::move(m)).ok();
+    ProduceOne(source_.get(), "t", std::move(m)).ok();
   }
   UReplicator replicator(source_.get(), destination_.get(), "src>dst", &mappings_);
   ASSERT_TRUE(replicator.AddTopic("t").ok());
@@ -93,7 +94,7 @@ TEST_F(UReplicatorTest, BurstTrafficShiftsToStandbyWorkers) {
   for (int i = 0; i < 1'200; ++i) {
     Message m = Msg("burst");
     m.partition = i % 6;
-    source_->Produce("t", std::move(m)).ok();
+    ProduceOne(source_.get(), "t", std::move(m)).ok();
   }
   std::set<int32_t> owners_before;
   for (int32_t p = 0; p < 6; ++p) owners_before.insert(replicator.OwnerOf({"t", p}));
@@ -115,7 +116,7 @@ TEST_F(UReplicatorTest, OffsetMappingCheckpointsRecorded) {
   for (int i = 0; i < 100; ++i) {
     Message m = Msg("v");
     m.partition = 0;
-    source_->Produce("t", std::move(m)).ok();
+    ProduceOne(source_.get(), "t", std::move(m)).ok();
   }
   ASSERT_TRUE(replicator.RunUntilCaughtUp().ok());
   TopicPartition tp{"t", 0};
@@ -197,7 +198,7 @@ TEST(ChaperoneTest, EndToEndThroughReplication) {
   for (int i = 0; i < 40; ++i) {
     Message m = Msg("uid" + std::to_string(i), 100 + i * 10);
     audit.Record("producer", "t", m);
-    source.Produce("t", std::move(m)).ok();
+    ProduceOne(&source, "t", std::move(m)).ok();
   }
   OffsetMappingStore mappings;
   UReplicator replicator(&source, &destination, "r", &mappings);
