@@ -135,7 +135,7 @@ int Main() {
     batch_broker = MakeBroker();
     broker_produce_us[rep] = bench::TimeUs([&] {
       for (const stream::wire::EncodedBatch& b : sealed) {
-        batch_broker->ProduceBatch("t", 0, b, ack).ok();
+        batch_broker->ProduceBatch("t", 0, b, ack, stream::Priority::kImportant).ok();
       }
     });
   }

@@ -16,11 +16,21 @@ int main() {
   // The rollup table is shared infrastructure, provisioned by the
   // restaurant-manager pipeline.
   core::RestaurantManagerApp pipeline(&platform);
-  if (!pipeline.Start().ok()) return 1;
-  core::EatsOpsAutomationApp ops(&platform);
-
+  // The orders are on the topic (provisioned exactly as Start() would)
+  // before the rollup job starts, so no partition counts as idle while its
+  // first batch is still in flight (see surge_pricing).
+  if (!platform
+           .ProvisionTopic(pipeline.options().orders_topic,
+                           workload::EatsOrderGenerator::Schema(),
+                           pipeline.options().partitions,
+                           core::RestaurantManagerApp::kActor)
+           .ok()) {
+    return 1;
+  }
   workload::EatsOrderGenerator orders({});
   orders.Produce(platform.streams(), pipeline.options().orders_topic, 3'000).ok();
+  if (!pipeline.Start().ok()) return 1;
+  core::EatsOpsAutomationApp ops(&platform);
   for (const compute::JobInfo& info : platform.jobs()->ListJobs()) {
     compute::JobRunner* runner = platform.jobs()->GetRunner(info.id);
     runner->WaitUntilCaughtUp(60'000).ok();

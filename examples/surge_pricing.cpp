@@ -16,14 +16,26 @@ using namespace uberrt;
 int main() {
   core::RealtimePlatform platform;
   core::SurgePricingApp surge(&platform);
-  if (!surge.Start().ok()) return 1;
 
   // A rush hour of trips: hot geofences get far more demand than others.
+  // It is on the topic (provisioned exactly as Start() would) before the
+  // job starts, so the source sees every partition's backlog at once: a
+  // partition still empty when a job polls counts as idle, and its first
+  // events would arrive behind the watermark.
+  if (!platform
+           .ProvisionTopic(surge.options().trips_topic,
+                           workload::TripEventGenerator::Schema(),
+                           surge.options().partitions, core::SurgePricingApp::kActor,
+                           /*lossless=*/false)
+           .ok()) {
+    return 1;
+  }
   workload::TripEventGenerator::Options options;
   options.num_hexes = 40;
   options.hex_skew = 1.2;
   workload::TripEventGenerator trips(options);
   trips.Produce(platform.streams(), surge.options().trips_topic, 5'000).ok();
+  if (!surge.Start().ok()) return 1;
 
   compute::JobRunner* runner = platform.jobs()->GetRunner(surge.job_id());
   runner->WaitUntilCaughtUp(60'000).ok();

@@ -158,18 +158,32 @@ Result<ProduceResult> Broker::ProduceBatch(const std::string& topic, int32_t par
   return result;
 }
 
-Status Broker::ReplicateBatch(const std::string& topic, int32_t partition,
-                              int64_t base_offset, const wire::EncodedBatch& batch) {
+Result<std::shared_ptr<Broker::Topic>> Broker::ReplicaTopic(const std::string& topic,
+                                                            int32_t partition) const {
   Result<std::shared_ptr<Topic>> found = FindTopic(topic);
   if (!found.ok()) return found.status();
-  std::shared_ptr<Topic> t = std::move(found.value());
   if (!available_.load(std::memory_order_acquire)) {
     return Status::Unavailable("cluster " + name_ + " down");
   }
-  if (partition < 0 || partition >= static_cast<int32_t>(t->partitions.size())) {
+  if (partition < 0 || partition >= static_cast<int32_t>(found.value()->partitions.size())) {
     return Status::InvalidArgument("replicate: bad partition");
   }
-  return t->partitions[static_cast<size_t>(partition)]->AppendBatchAt(base_offset, batch);
+  return found;
+}
+
+Status Broker::ReplicateBatch(const std::string& topic, int32_t partition,
+                              int64_t base_offset, const wire::EncodedBatch& batch) {
+  Result<std::shared_ptr<Topic>> t = ReplicaTopic(topic, partition);
+  if (!t.ok()) return t.status();
+  return t.value()->partitions[static_cast<size_t>(partition)]->AppendBatchAt(base_offset,
+                                                                              batch);
+}
+
+Status Broker::StartPartitionAt(const std::string& topic, int32_t partition,
+                                int64_t offset) {
+  Result<std::shared_ptr<Topic>> t = ReplicaTopic(topic, partition);
+  if (!t.ok()) return t.status();
+  return t.value()->partitions[static_cast<size_t>(partition)]->StartAt(offset);
 }
 
 Result<FetchedBatch> Broker::FetchViews(const std::string& topic, int32_t partition,

@@ -84,14 +84,18 @@ class Broker : public MessageBus {
   /// the cluster is down.
   Result<ProduceResult> ProduceBatch(const std::string& topic, int32_t partition,
                                      const wire::EncodedBatch& batch,
-                                     AckMode ack = AckMode::kLeader,
-                                     Priority priority = Priority::kImportant) override;
+                                     AckMode ack, Priority priority) override;
 
   /// Appends a batch preserving offsets (federated topic migration): the
   /// batch's first record lands at `base_offset`, which must equal the
   /// partition's end offset (PartitionLog::AppendBatchAt).
   Status ReplicateBatch(const std::string& topic, int32_t partition, int64_t base_offset,
                         const wire::EncodedBatch& batch);
+
+  /// Sets a fresh partition's log start offset before ReplicateBatch copies
+  /// into it (PartitionLog::StartAt), so a migrated partition keeps the
+  /// source's numbering even when the source retains no data.
+  Status StartPartitionAt(const std::string& topic, int32_t partition, int64_t offset);
 
   /// Zero-copy batch fetch: borrowed views into the partition log's arena
   /// segments, no per-message allocation (see FetchedBatch lifetime rules).
@@ -173,6 +177,10 @@ class Broker : public MessageBus {
 
   /// Looks up the topic under `topics_mu_` and returns an owning reference.
   Result<std::shared_ptr<Topic>> FindTopic(const std::string& topic) const;
+  /// FindTopic plus the gates of the offset-preserving (migration) writes:
+  /// the cluster is available and `partition` is in range.
+  Result<std::shared_ptr<Topic>> ReplicaTopic(const std::string& topic,
+                                              int32_t partition) const;
   void SpinCoordinationWork(AckMode ack) const;
 
   std::string name_;

@@ -18,9 +18,9 @@ std::string OffsetKey(const std::string& group, const std::string& topic,
 }
 
 /// Re-appends every retained record of `topic` from `source` to the same
-/// partition and offset on `target`, a fetch chunk per batch. The first
-/// batch sets an empty target log's begin offset, so a head-truncated
-/// source keeps its offsets.
+/// partition and offset on `target`, a fetch chunk per batch. Each target
+/// partition first starts at the source's begin offset, so a head-truncated
+/// or fully truncated source keeps its offsets.
 Status CopyPartitions(const Broker& source, Broker* target, const std::string& topic) {
   Result<int32_t> partitions = source.NumPartitions(topic);
   if (!partitions.ok()) return partitions.status();
@@ -29,6 +29,7 @@ Status CopyPartitions(const Broker& source, Broker* target, const std::string& t
     Result<int64_t> end = source.EndOffset(topic, p);
     if (!begin.ok()) return begin.status();
     if (!end.ok()) return end.status();
+    UBERRT_RETURN_IF_ERROR(target->StartPartitionAt(topic, p, begin.value()));
     int64_t offset = begin.value();
     while (offset < end.value()) {
       Result<FetchedBatch> fetched = source.FetchViews(topic, p, offset, 1024);

@@ -70,8 +70,7 @@ class KafkaFederation : public MessageBus {
   /// cluster failure fails the topic over and retries once.
   Result<ProduceResult> ProduceBatch(const std::string& topic, int32_t partition,
                                      const wire::EncodedBatch& batch,
-                                     AckMode ack = AckMode::kLeader,
-                                     Priority priority = Priority::kImportant) override;
+                                     AckMode ack, Priority priority) override;
   /// Zero-copy batch fetch routed to the hosting cluster.
   Result<FetchedBatch> FetchViews(const std::string& topic, int32_t partition,
                                   int64_t offset, size_t max_messages) const override;

@@ -53,14 +53,22 @@ Result<int64_t> PartitionLog::AppendBatch(const wire::EncodedBatch& batch) {
 Status PartitionLog::AppendBatchAt(int64_t base_offset, const wire::EncodedBatch& batch) {
   UBERRT_RETURN_IF_ERROR(ValidateForAppend(batch));
   std::lock_guard<std::mutex> lock(mu_);
-  if (end_offset_ == 0 && base_offset > 0) {
-    begin_offset_ = end_offset_ = base_offset;
-  }
   if (base_offset != end_offset_) {
     return Status::InvalidArgument("offset gap: expected " + std::to_string(end_offset_) +
                                    " got " + std::to_string(base_offset));
   }
   AppendBatchLocked(batch);
+  return Status::Ok();
+}
+
+Status PartitionLog::StartAt(int64_t offset) {
+  if (offset < 0) return Status::InvalidArgument("negative start offset");
+  std::lock_guard<std::mutex> lock(mu_);
+  if (end_offset_ != 0) {
+    return Status::FailedPrecondition("log already starts at " +
+                                      std::to_string(begin_offset_));
+  }
+  begin_offset_ = end_offset_ = offset;
   return Status::Ok();
 }
 

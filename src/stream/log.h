@@ -93,10 +93,14 @@ class PartitionLog {
 
   /// AppendBatch that preserves offsets (intra-federation topic migration):
   /// `base_offset` must equal the current end offset, else InvalidArgument
-  /// and nothing is appended. A log that was never appended to adopts a
-  /// positive `base_offset` as its begin and end offset (Kafka's log start
-  /// offset), so a head-truncated partition migrates with its offsets.
+  /// and nothing is appended.
   Status AppendBatchAt(int64_t base_offset, const wire::EncodedBatch& batch);
+
+  /// Sets the begin and end offset of a log that has never held an offset
+  /// (Kafka's log start offset), so a migrated partition keeps its
+  /// numbering even when retention truncated its head or emptied it.
+  /// FailedPrecondition once the log's end offset is non-zero.
+  Status StartAt(int64_t offset);
 
   /// Reads up to `max_messages` borrowed views starting at `offset`, with
   /// zero per-message allocation. OutOfRange if offset is below the begin

@@ -29,8 +29,11 @@ struct BatchingProducerOptions {
 
 // The two write clients over MessageBus::ProduceBatch. Both place a message
 // by one rule: its explicit partition, else the hash of its key. Keyless
-// messages go round-robin. Both stamp timestamp 0 with their clock
-// (ProduceOne: the system clock).
+// messages go round-robin. Both stamp timestamp 0 on the client side, since
+// the broker never re-stamps frames: BatchingProducer with its injected
+// clock, ProduceOne with the system clock. A caller whose broker runs on a
+// simulated clock sets its own timestamps for ProduceOne, or age retention
+// compares wall-clock stamps against simulated time.
 //  - BatchingProducer for bulk loops: flush before relying on delivery.
 //  - ProduceOne for one-off sends: one record, one batch, one result.
 

@@ -301,7 +301,8 @@ Result<int64_t> UReplicator::RunOnce() {
           int64_t last_source = batch.value().messages.back().offset;
           int64_t copied = static_cast<int64_t>(builder.count());
           Result<ProduceResult> produced = destination_->ProduceBatch(
-              tp.topic, tp.partition, builder.Finish(), AckMode::kLeader);
+              tp.topic, tp.partition, builder.Finish(), AckMode::kLeader,
+              Priority::kImportant);
           if (!produced.ok()) {
             if (common::RetryPolicy::IsRetryable(produced.status())) {
               // The batch append is atomic: nothing was stored, the

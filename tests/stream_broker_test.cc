@@ -137,7 +137,8 @@ TEST_F(BrokerTest, NegativePartitionRoundRobinsAcrossEveryPartition) {
   std::map<int32_t, int> batches;
   for (int i = 0; i < 8; ++i) {
     Result<ProduceResult> r =
-        broker_->ProduceBatch("t", -1, Batch({Msg("", "a", 5), Msg("", "b", 5)}));
+        broker_->ProduceBatch("t", -1, Batch({Msg("", "a", 5), Msg("", "b", 5)}),
+                              AckMode::kLeader, Priority::kImportant);
     ASSERT_TRUE(r.ok());
     ++batches[r.value().partition];
   }
@@ -151,7 +152,8 @@ TEST_F(BrokerTest, NegativePartitionRoundRobinsAcrossEveryPartition) {
     partitions.insert(ProduceOne(broker_.get(), "t", Msg("", "v")).value().partition);
   }
   EXPECT_EQ(partitions.size(), 4u);
-  EXPECT_TRUE(broker_->ProduceBatch("t", 4, Batch({Msg("", "v", 5)}))
+  EXPECT_TRUE(broker_->ProduceBatch("t", 4, Batch({Msg("", "v", 5)}), AckMode::kLeader,
+                                    Priority::kImportant)
                   .status()
                   .code() == StatusCode::kInvalidArgument);
 }
@@ -175,7 +177,9 @@ TEST_F(BrokerTest, BatchIsShedOrAdmittedWholeAtItsPriority) {
   EXPECT_EQ(broker_->EndOffset("t", 0).value(), 16);
   EXPECT_EQ(admission.used(Priority::kCritical), 16);
   // Unlabeled batches are important; one-off sends carry their class too.
-  EXPECT_TRUE(broker_->ProduceBatch("t", 1, Batch({Msg("k", "v", 5)})).ok());
+  EXPECT_TRUE(broker_->ProduceBatch("t", 1, Batch({Msg("k", "v", 5)}), AckMode::kLeader,
+                                    Priority::kImportant)
+                  .ok());
   EXPECT_EQ(admission.used(Priority::kImportant), 1);
   EXPECT_TRUE(ProduceOne(broker_.get(), "t", Msg("k", "v"), AckMode::kLeader,
                          Priority::kBestEffort)
@@ -211,7 +215,8 @@ TEST_F(BrokerTest, MissingTopicIsNotFoundEvenWhenUnavailable) {
   // checked first now.
   broker_->SetAvailable(false);
   EXPECT_TRUE(ProduceOne(broker_.get(), "ghost", Msg("k", "v")).status().IsNotFound());
-  EXPECT_TRUE(broker_->ProduceBatch("ghost", -1, Batch({Msg("", "v", 5)}))
+  EXPECT_TRUE(broker_->ProduceBatch("ghost", -1, Batch({Msg("", "v", 5)}), AckMode::kLeader,
+                                    Priority::kImportant)
                   .status()
                   .IsNotFound());
   EXPECT_TRUE(broker_->FetchViews("ghost", 0, 0, 1).status().IsNotFound());

@@ -142,7 +142,10 @@ TEST_F(FederationTest, MigrationKeepsSizeRetentionFootprint) {
     for (int b = 0; b < 20'000 / 250; ++b) {
       wire::BatchBuilder builder;
       for (int i = 0; i < 250; ++i) builder.Add(Msg("", std::string(40, 'x')));
-      ASSERT_TRUE(federation_.ProduceBatch(topic, 0, builder.Finish()).ok());
+      ASSERT_TRUE(federation_
+                      .ProduceBatch(topic, 0, builder.Finish(), AckMode::kLeader,
+                                    Priority::kImportant)
+                      .ok());
     }
   }
   std::string host = federation_.HostingCluster("migrated").value();
@@ -210,6 +213,41 @@ TEST_F(FederationTest, MigratesHeadTruncatedTopicAndRetriesAfterCopyError) {
   Result<ProduceResult> next = ProduceOne(&federation_, "t", Msg("", "next"));
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.value().offset, 1000);
+}
+
+// A partition that retention emptied completely has no batch to carry its
+// start offset; the target still starts at the source's end offset, so the
+// group's committed position stays valid and the next record is delivered.
+TEST_F(FederationTest, MigratesFullyTruncatedTopicWithItsOffsets) {
+  TopicConfig config;
+  config.num_partitions = 1;
+  config.retention.max_age_ms = 1000;
+  ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(ProduceOne(&federation_, "t", Msg("", "old")).ok());  // timestamp 1
+  }
+  const std::string host = federation_.HostingCluster("t").value();
+  federation_.GetCluster(host).value()->ApplyRetention();
+  ASSERT_EQ(federation_.BeginOffset("t", 0).value(), 10);
+  ASSERT_EQ(federation_.EndOffset("t", 0).value(), 10);
+  ASSERT_TRUE(federation_.CommitOffset("g", "t", 0, 10).ok());
+
+  ASSERT_TRUE(federation_.MigrateTopic("t", host == "c1" ? "c2" : "c1").ok());
+  EXPECT_EQ(federation_.BeginOffset("t", 0).value(), 10);
+  EXPECT_EQ(federation_.EndOffset("t", 0).value(), 10);
+
+  Message fresh;
+  fresh.value = "fresh";  // timestamp 0: stamped now, so it outlives retention
+  Result<ProduceResult> next = ProduceOne(&federation_, "t", fresh);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value().offset, 10);
+  EXPECT_EQ(federation_.ConsumerLag("g", "t").value(), 1);
+  Consumer consumer(&federation_, "g", "t", "m1");
+  ASSERT_TRUE(consumer.Subscribe().ok());
+  Result<FetchedBatch> polled = consumer.PollViews(10);
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  ASSERT_EQ(polled.value().size(), 1u);
+  EXPECT_EQ(polled.value().messages[0].value, "fresh");
 }
 
 }  // namespace

@@ -140,6 +140,9 @@ TEST(StreamLogTest, OffsetContinuityAcrossTruncation) {
 
 TEST(StreamLogTest, AppendBatchAtRejectsGaps) {
   PartitionLog log;
+  // A fresh log starts at 0 unless StartAt says otherwise.
+  EXPECT_EQ(log.AppendBatchAt(887, Batch({Msg("", "z")})).code(),
+            StatusCode::kInvalidArgument);
   ASSERT_TRUE(log.AppendBatchAt(0, Batch({Msg("", "a")})).ok());
   // skips 1..4
   EXPECT_EQ(log.AppendBatchAt(5, Batch({Msg("", "b")})).code(),
@@ -150,18 +153,22 @@ TEST(StreamLogTest, AppendBatchAtRejectsGaps) {
   EXPECT_EQ(log.EndOffset(), 1);
 }
 
-TEST(StreamLogTest, EmptyLogAdoptsFirstReplicatedBaseOffset) {
+TEST(StreamLogTest, StartAtSetsAFreshLogsStartOffset) {
   // Kafka's log start offset: a fresh log receiving a head-truncated
   // partition starts where the source's retained data starts.
   PartitionLog log;
-  ASSERT_TRUE(log.AppendBatchAt(887, Batch({Msg("", "a"), Msg("", "b")})).ok());
+  ASSERT_TRUE(log.StartAt(887).ok());
   EXPECT_EQ(log.BeginOffset(), 887);
-  EXPECT_EQ(log.EndOffset(), 889);
+  EXPECT_EQ(log.EndOffset(), 887);
+  // The gap check applies from the first replicated batch on.
+  EXPECT_EQ(log.AppendBatchAt(0, Batch({Msg("", "z")})).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(log.AppendBatchAt(887, Batch({Msg("", "a"), Msg("", "b")})).ok());
   EXPECT_EQ(log.ReadViews(888, 1).value().messages[0].value, "b");
   EXPECT_EQ(log.AppendBatch(Batch({Msg("", "c")})).value(), 889);
-  // Once the log holds offsets, gaps are rejected again.
-  EXPECT_EQ(log.AppendBatchAt(900, Batch({Msg("", "d")})).code(),
-            StatusCode::kInvalidArgument);
+  // Only a log that never held an offset accepts a start offset.
+  EXPECT_EQ(log.StartAt(0).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(log.EndOffset(), 890);
 }
 
 TEST(StreamLogTest, ViewsSurviveRetentionViaPins) {
