@@ -8,8 +8,10 @@
 #      DLQ write path),
 #      the OLAP cluster suite
 #      (its ingest drain does offset and fetch-size arithmetic), the
-#      vectorized/scalar parity fuzz, the segment-build parity digests and
-#      the star-tree parity fuzz under
+#      vectorized/scalar parity fuzz, the segment-build parity digests,
+#      the star-tree parity fuzz, the byte-level decoder fuzz
+#      (codec_fuzz_test: every durable-blob and wire decoder fed every
+#      truncation and 1000 byte flips) and the common/bytes.h suite under
 #      AddressSanitizer and ThreadSanitizer — the
 #      enforcement mechanism for the lifetime and lock rules in DESIGN.md §5
 #      (broker topic ownership, OLAP table ownership, the shared executor /
@@ -40,7 +42,7 @@ ctest --test-dir build --output-on-failure -j
 echo "== Figure 1 reference checks (perfbench) =="
 python3 perfbench/run.py --all --seed 1
 
-CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_test|stream_federation_test|stream_dlq_proxy_test|stream_broker_concurrency_test|olap_cluster_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|olap_segment_build_parity_test|olap_star_tree_parity_test"
+CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_test|stream_federation_test|stream_dlq_proxy_test|stream_broker_concurrency_test|olap_cluster_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|olap_segment_build_parity_test|olap_star_tree_parity_test|codec_fuzz_test|common_bytes_test"
 for SAN in address thread; do
   echo "== sanitizer gate: ${SAN} =="
   cmake -B "build-${SAN}" -S . -DUBERRT_SANITIZE="${SAN}"
@@ -51,7 +53,7 @@ for SAN in address thread; do
     olap_vectorized_parity_test \
     olap_morsel_parity_test olap_upsert_recovery_test olap_tiering_test \
     allactive_drill_test compute_batch_parity_test olap_segment_build_parity_test \
-    olap_star_tree_parity_test
+    olap_star_tree_parity_test codec_fuzz_test common_bytes_test
   ctest --test-dir "build-${SAN}" --output-on-failure -R "^(${CONCURRENCY_SUITES})$"
 done
 

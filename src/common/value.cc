@@ -1,39 +1,11 @@
 #include "common/value.h"
 
-#include <cstring>
+#include <bit>
 #include <sstream>
 
+#include "common/bytes.h"
+
 namespace uberrt {
-
-namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU32(std::string_view data, size_t* pos, uint32_t* out) {
-  if (*pos + 4 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 4);
-  *pos += 4;
-  return true;
-}
-
-bool ReadU64(std::string_view data, size_t* pos, uint64_t* out) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
-
-}  // namespace
 
 const char* ValueTypeName(ValueType type) {
   switch (type) {
@@ -106,21 +78,14 @@ void AppendValue(std::string* out, const Value& v) {
     case ValueType::kNull:
       break;
     case ValueType::kInt:
-      AppendU64(out, static_cast<uint64_t>(v.AsInt()));
+      bytes::PutLE64(out, static_cast<uint64_t>(v.AsInt()));
       break;
-    case ValueType::kDouble: {
-      uint64_t bits;
-      double d = v.AsDouble();
-      std::memcpy(&bits, &d, 8);
-      AppendU64(out, bits);
+    case ValueType::kDouble:
+      bytes::PutLE64(out, std::bit_cast<uint64_t>(v.AsDouble()));
       break;
-    }
-    case ValueType::kString: {
-      const std::string& s = v.AsString();
-      AppendU32(out, static_cast<uint32_t>(s.size()));
-      out->append(s);
+    case ValueType::kString:
+      bytes::PutString(out, v.AsString());
       break;
-    }
     case ValueType::kBool:
       out->push_back(v.AsBool() ? 1 : 0);
       break;
@@ -129,54 +94,49 @@ void AppendValue(std::string* out, const Value& v) {
 
 std::string EncodeRow(const Row& row) {
   std::string out;
-  AppendU32(&out, static_cast<uint32_t>(row.size()));
+  bytes::PutLE32(&out, static_cast<uint32_t>(row.size()));
   for (const Value& v : row) AppendValue(&out, v);
   return out;
 }
 
 Result<Row> DecodeRow(std::string_view data) {
-  size_t pos = 0;
+  bytes::ByteReader in(data);
   uint32_t count = 0;
-  if (!ReadU32(data, &pos, &count)) {
-    return Status::Corruption("row header truncated");
-  }
+  if (!in.U32(&count)) return Status::Corruption("row header truncated");
   // Every field needs at least its 1-byte tag; a count beyond the remaining
   // bytes is corruption (and must not drive a huge reserve()).
-  if (count > data.size() - pos) return Status::Corruption("row count implausible");
+  if (count > in.remaining()) return Status::Corruption("row count implausible");
   Row row;
   row.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    if (pos >= data.size()) return Status::Corruption("row body truncated");
-    auto tag = static_cast<ValueType>(data[pos++]);
-    switch (tag) {
+    uint8_t tag = 0;
+    if (!in.U8(&tag)) return Status::Corruption("row body truncated");
+    switch (static_cast<ValueType>(tag)) {
       case ValueType::kNull:
         row.push_back(Value::Null());
         break;
       case ValueType::kInt: {
         uint64_t raw;
-        if (!ReadU64(data, &pos, &raw)) return Status::Corruption("int truncated");
+        if (!in.U64(&raw)) return Status::Corruption("int truncated");
         row.push_back(Value(static_cast<int64_t>(raw)));
         break;
       }
       case ValueType::kDouble: {
         uint64_t bits;
-        if (!ReadU64(data, &pos, &bits)) return Status::Corruption("double truncated");
-        double d;
-        std::memcpy(&d, &bits, 8);
-        row.push_back(Value(d));
+        if (!in.U64(&bits)) return Status::Corruption("double truncated");
+        row.push_back(Value(std::bit_cast<double>(bits)));
         break;
       }
       case ValueType::kString: {
-        uint32_t len;
-        if (!ReadU32(data, &pos, &len)) return Status::Corruption("string length truncated");
-        if (pos + len > data.size()) return Status::Corruption("string body truncated");
-        row.push_back(Value(std::string(data.substr(pos, len))));
-        pos += len;
+        std::string_view s;
+        if (!in.String(&s)) return Status::Corruption("string truncated");
+        row.push_back(Value(std::string(s)));
         break;
       }
       case ValueType::kBool: {
-        if (pos >= data.size()) return Status::Corruption("bool truncated");
-        row.push_back(Value(data[pos++] != 0));
+        uint8_t b = 0;
+        if (!in.U8(&b)) return Status::Corruption("bool truncated");
+        row.push_back(Value(b != 0));
         break;
       }
       default:

@@ -15,6 +15,14 @@ namespace {
 /// itself, so a small pool round-robins fairly across a wide pipeline.
 constexpr int kInstanceTaskBudget = 1024;
 
+/// Flink-style source idleness: a partition that has produced no data yet
+/// stops holding the source watermark back only after it has been seen
+/// empty for this long. Its clock starts the first time another partition's
+/// data could move the watermark, so a job started before a batching
+/// producer waits out the skew between the partitions' first batches
+/// instead of dropping the late-landing ones as late.
+constexpr int64_t kPartitionIdleTimeoutMs = 200;
+
 /// Terminal stage: delivers rows to the configured sink. A topic sink
 /// encodes rows into one BatchingProducer and flushes it at the end of
 /// every ProcessBatch call, so a channel batch ships as one ProduceBatch per
@@ -164,24 +172,38 @@ struct JobRunner::SourceState {
   OutBuffer out;
   std::deque<PendingPush> stash;
 
+  /// Per partition: when CurrentWatermarkBase first saw it empty with no
+  /// data yet (INT64_MIN = not yet). Owner-task only.
+  std::vector<TimestampMs> empty_since;
+  /// True while the watermark is held back only by empty partitions whose
+  /// idleness timeout has not expired. Idle polls re-evaluate it, and
+  /// WaitUntilCaughtUp waits for it to clear.
+  std::atomic<bool> idle_pending{false};
+
   /// Watermark base: min event time over partitions. A partition with no
   /// samples yet holds the watermark back (returns INT64_MIN) if it still
   /// has unread data — we must not declare time progressed past records we
-  /// have not looked at. Truly empty partitions are ignored as idle.
-  TimestampMs CurrentWatermarkBase(stream::MessageBus* bus) const {
+  /// have not looked at — or until it has been seen empty for
+  /// kPartitionIdleTimeoutMs; after that it is ignored as idle.
+  TimestampMs CurrentWatermarkBase(stream::MessageBus* bus, TimestampMs now) {
     TimestampMs min_wm = kMaxWatermark;
     bool any = false;
-    for (size_t p = 0; p < partition_max_event_time.size(); ++p) {
-      TimestampMs t = partition_max_event_time[p];
-      if (t == INT64_MIN) {
-        Result<int64_t> end = bus->EndOffset(spec.topic, static_cast<int32_t>(p));
-        if (end.ok() && end.value() > positions[p]) return INT64_MIN;  // unread data
-        continue;  // idle partition
-      }
+    for (TimestampMs t : partition_max_event_time) {
+      if (t == INT64_MIN) continue;
       any = true;
       min_wm = std::min(min_wm, t);
     }
-    return any ? min_wm : INT64_MIN;
+    if (!any) return INT64_MIN;
+    bool pending = false;
+    for (size_t p = 0; p < partition_max_event_time.size(); ++p) {
+      if (partition_max_event_time[p] != INT64_MIN) continue;
+      Result<int64_t> end = bus->EndOffset(spec.topic, static_cast<int32_t>(p));
+      if (end.ok() && end.value() > positions[p]) return INT64_MIN;  // unread data
+      if (empty_since[p] == INT64_MIN) empty_since[p] = now;
+      if (now - empty_since[p] < kPartitionIdleTimeoutMs) pending = true;
+    }
+    idle_pending.store(pending);
+    return pending ? INT64_MIN : min_wm;
   }
 };
 
@@ -232,6 +254,7 @@ Status JobRunner::BuildTopology() {
         static_cast<size_t>(partitions.value()));
     src->partition_max_event_time.resize(static_cast<size_t>(partitions.value()),
                                          INT64_MIN);
+    src->empty_since.resize(static_cast<size_t>(partitions.value()), INT64_MIN);
     for (int32_t p = 0; p < partitions.value(); ++p) {
       std::string key = "source." + std::to_string(source_states_.size()) + "." +
                         std::to_string(p);
@@ -562,6 +585,13 @@ void JobRunner::RunSource(size_t source_index) {
   // arenas (zero copy until Row materialization). The FetchedBatch pin dies
   // at the end of each partition's poll, after every record has been
   // decoded into an owning Row.
+  auto emit_watermark = [&] {
+    TimestampMs base = src.CurrentWatermarkBase(bus_, SystemClock::Instance()->NowMs());
+    if (base == INT64_MIN) return;
+    Element wm = Element::Watermark(base - src.spec.out_of_orderness_ms);
+    wm.from_channel = static_cast<int32_t>(source_index);
+    EmitControl(wm, out, &src.out, &src.stash);
+  };
   bool got_data = false;
   for (size_t p = 0; p < src.positions.size() && !cancel_.load(); ++p) {
     if (!src.stash.empty()) break;  // downstream full: stop pulling more
@@ -605,15 +635,13 @@ void JobRunner::RunSource(size_t source_index) {
       src.positions[p] = m.offset + 1;
       if (++src.records_since_watermark >= src.spec.watermark_interval_records) {
         src.records_since_watermark = 0;
-        TimestampMs base = src.CurrentWatermarkBase(bus_);
-        if (base != INT64_MIN) {
-          Element wm = Element::Watermark(base - src.spec.out_of_orderness_ms);
-          wm.from_channel = static_cast<int32_t>(source_index);
-          EmitControl(wm, out, &src.out, &src.stash);
-        }
+        emit_watermark();
       }
     }
   }
+  // A held-back watermark advances once the empty partitions time out, even
+  // if no further record arrives to trigger it.
+  if (!got_data && src.idle_pending.load()) emit_watermark();
   FlushOut(out, &src.out, &src.stash);
   if (src.finishing) {
     bool caught_up = true;
@@ -909,13 +937,15 @@ void JobRunner::Cancel() {
 Status JobRunner::WaitUntilCaughtUp(int64_t timeout_ms) {
   TimestampMs deadline = SystemClock::Instance()->NowMs() + timeout_ms;
   while (true) {
+    // Sources first: a poll that ran after this check shows up in the lag
+    // or in_flight_ read below.
+    bool idle = true;
+    for (auto& src : source_states_) {
+      if (src->busy.load() || src->idle_pending.load()) idle = false;
+    }
     Result<int64_t> lag = SourceLag();
-    if (lag.ok() && lag.value() == 0 && in_flight_.load() == 0) {
-      bool idle = true;
-      for (auto& src : source_states_) {
-        if (src->busy.load()) idle = false;
-      }
-      if (idle) return Status::Ok();
+    if (idle && lag.ok() && lag.value() == 0 && in_flight_.load() == 0) {
+      return Status::Ok();
     }
     if (SystemClock::Instance()->NowMs() > deadline) {
       return Status::Timeout("did not catch up");

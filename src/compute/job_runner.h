@@ -128,8 +128,9 @@ class JobRunner {
   /// in the last checkpoint; this models a crash or forced stop).
   void Cancel();
 
-  /// Blocks until sources have read to their topics' current end offsets
-  /// and the pipeline has no in-flight elements.
+  /// Blocks until sources have read to their topics' current end offsets,
+  /// the pipeline has no in-flight elements and no source is holding its
+  /// watermark back for an empty partition's idleness timeout.
   Status WaitUntilCaughtUp(int64_t timeout_ms = 10000);
 
   bool IsRunning() const { return running_.load(); }

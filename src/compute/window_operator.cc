@@ -1,8 +1,8 @@
 #include "compute/window_operator.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/hash.h"
 #include "storage/archive.h"
 
@@ -26,10 +26,7 @@ void EncodeKeyTo(const Row& row, const std::vector<int>& key_indices,
   out->clear();
   // Same bytes as EncodeRow of the key-field Row: u32 count then tagged
   // values, with out-of-range indices encoded as nulls.
-  uint32_t count = static_cast<uint32_t>(key_indices.size());
-  char buf[4];
-  std::memcpy(buf, &count, 4);
-  out->append(buf, 4);
+  bytes::PutLE32(out, static_cast<uint32_t>(key_indices.size()));
   for (int idx : key_indices) {
     if (idx >= 0 && idx < static_cast<int>(row.size())) {
       AppendValue(out, row[static_cast<size_t>(idx)]);

@@ -1,27 +1,15 @@
 #include "olap/lifecycle.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
+
+#include "common/bytes.h"
 
 namespace uberrt::olap {
 
 // --- URT_SEG1 frame codec ----------------------------------------------------
 
 namespace {
-
-void FrameAppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool FrameReadU64(const std::string& data, size_t* pos, uint64_t* out) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
 
 constexpr uint64_t kFrameMagic = 0x314745535F545255ULL;  // "URT_SEG1"
 
@@ -33,17 +21,16 @@ Status ParseFrameHeader(const std::string& blob, SegmentFrame* out, size_t* pos,
                         bool* legacy) {
   *pos = 0;
   *legacy = false;
-  size_t p = 0;
+  bytes::ByteReader in(blob);
   uint64_t magic = 0;
-  if (!FrameReadU64(blob, &p, &magic) || magic != kFrameMagic) {
+  if (!in.U64(&magic) || magic != kFrameMagic) {
     *legacy = true;
     return Status::Ok();
   }
   auto corrupt = [] { return Status::Corruption("archived segment frame truncated"); };
   uint64_t seq, min_time, max_time, has_validity;
-  if (!FrameReadU64(blob, &p, &seq) || !FrameReadU64(blob, &p, &min_time) ||
-      !FrameReadU64(blob, &p, &max_time) ||
-      !FrameReadU64(blob, &p, &has_validity)) {
+  if (!in.U64(&seq) || !in.U64(&min_time) || !in.U64(&max_time) ||
+      !in.U64(&has_validity)) {
     return corrupt();
   }
   out->seq = static_cast<int64_t>(seq);
@@ -51,13 +38,16 @@ Status ParseFrameHeader(const std::string& blob, SegmentFrame* out, size_t* pos,
   out->max_time = static_cast<TimestampMs>(max_time);
   if (has_validity != 0) {
     uint64_t num_bits;
-    if (!FrameReadU64(blob, &p, &num_bits)) return corrupt();
+    if (!in.U64(&num_bits)) return corrupt();
+    // Bound the bit count by the bytes left before any arithmetic on it: a
+    // value near 2^64 would otherwise wrap the word count to zero.
+    if (num_bits > static_cast<uint64_t>(in.remaining()) * 8) return corrupt();
     const uint64_t num_words = (num_bits + 63) / 64;
-    if (num_words > (blob.size() - p) / 8) return corrupt();
+    if (num_words > in.remaining() / 8) return corrupt();
     auto validity = std::make_shared<std::vector<bool>>(num_bits, true);
     for (uint64_t w = 0; w < num_words; ++w) {
       uint64_t word;
-      if (!FrameReadU64(blob, &p, &word)) return corrupt();
+      if (!in.U64(&word)) return corrupt();
       const uint64_t base = w * 64;
       for (uint64_t b = 0; b < 64 && base + b < num_bits; ++b) {
         (*validity)[base + b] = ((word >> b) & 1) != 0;
@@ -65,7 +55,7 @@ Status ParseFrameHeader(const std::string& blob, SegmentFrame* out, size_t* pos,
     }
     out->validity = std::move(validity);
   }
-  *pos = p;
+  *pos = in.pos();
   return Status::Ok();
 }
 
@@ -73,26 +63,26 @@ Status ParseFrameHeader(const std::string& blob, SegmentFrame* out, size_t* pos,
 
 std::string EncodeSegmentFrame(const SegmentFrame& frame) {
   std::string out;
-  FrameAppendU64(&out, kFrameMagic);
-  FrameAppendU64(&out, static_cast<uint64_t>(frame.seq));
-  FrameAppendU64(&out, static_cast<uint64_t>(frame.min_time));
-  FrameAppendU64(&out, static_cast<uint64_t>(frame.max_time));
+  bytes::PutLE64(&out, kFrameMagic);
+  bytes::PutLE64(&out, static_cast<uint64_t>(frame.seq));
+  bytes::PutLE64(&out, static_cast<uint64_t>(frame.min_time));
+  bytes::PutLE64(&out, static_cast<uint64_t>(frame.max_time));
   if (frame.validity == nullptr) {
-    FrameAppendU64(&out, 0);
+    bytes::PutLE64(&out, 0);
   } else {
-    FrameAppendU64(&out, 1);
-    FrameAppendU64(&out, frame.validity->size());
+    bytes::PutLE64(&out, 1);
+    bytes::PutLE64(&out, frame.validity->size());
     uint64_t word = 0;
     int bit = 0;
     for (size_t i = 0; i < frame.validity->size(); ++i) {
       if ((*frame.validity)[i]) word |= 1ULL << bit;
       if (++bit == 64) {
-        FrameAppendU64(&out, word);
+        bytes::PutLE64(&out, word);
         word = 0;
         bit = 0;
       }
     }
-    if (bit > 0) FrameAppendU64(&out, word);
+    if (bit > 0) bytes::PutLE64(&out, word);
   }
   out.append(frame.segment->Serialize());
   return out;

@@ -11,51 +11,12 @@
 #include <string_view>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/hash.h"
 
 namespace uberrt::olap {
 
 namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadU32(const std::string& data, size_t* pos, uint32_t* out) {
-  if (*pos + 4 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 4);
-  *pos += 4;
-  return true;
-}
-
-bool ReadU64(const std::string& data, size_t* pos, uint64_t* out) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
-
-bool ReadString(const std::string& data, size_t* pos, std::string* out) {
-  uint32_t len;
-  if (!ReadU32(data, pos, &len)) return false;
-  if (*pos + len > data.size()) return false;
-  out->assign(data, *pos, len);
-  *pos += len;
-  return true;
-}
 
 int64_t ValueMemoryBytes(const Value& v) {
   int64_t bytes = static_cast<int64_t>(sizeof(Value));
@@ -79,15 +40,6 @@ Value CoerceTo(ValueType type, const Value& v) {
       return v;
   }
   return v;
-}
-
-/// Big-endian u32: lexicographic order of the encoded bytes equals numeric
-/// order of the ids, so the scalar oracle's map-keyed group emission matches
-/// the vectorized engine's packed-key sort order exactly.
-void AppendU32BE(std::string* out, uint32_t v) {
-  char buf[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-                 static_cast<char>(v >> 8), static_cast<char>(v)};
-  out->append(buf, 4);
 }
 
 }  // namespace
@@ -216,12 +168,10 @@ void Segment::Column::UnpackRange(size_t start, size_t count, uint32_t* out) con
   }
 }
 
-void Segment::BuildNumericDictionaries() {
-  for (Column& column : columns_) {
-    column.dict_numeric.resize(column.dictionary.size());
-    for (size_t i = 0; i < column.dictionary.size(); ++i) {
-      column.dict_numeric[i] = column.dictionary[i].ToNumeric();
-    }
+void Segment::Column::BuildDictNumeric() {
+  dict_numeric.resize(dictionary.size());
+  for (size_t i = 0; i < dictionary.size(); ++i) {
+    dict_numeric[i] = dictionary[i].ToNumeric();
   }
 }
 
@@ -348,9 +298,9 @@ Result<std::shared_ptr<Segment>> Segment::Build(std::string name, RowSchema sche
     } else {
       column.plain = std::move(ids);
     }
+    column.BuildDictNumeric();
   }
 
-  segment->BuildNumericDictionaries();
   segment->BuildZoneMaps();
   segment->BuildIndexes(config);
   return segment;
@@ -1047,7 +997,9 @@ Result<OlapResult> Segment::ExecuteScalar(const OlapQuery& query,
       if (!filter_scanned) ++stats->rows_scanned;
       std::string group_key;
       for (int idx : group_indices) {
-        AppendU32BE(&group_key, columns_[static_cast<size_t>(idx)].IdAt(r));
+        // Big-endian: memcmp order of the key equals id order, so the
+        // oracle's map emits groups in the vectorized engine's order.
+        bytes::PutBE32(&group_key, columns_[static_cast<size_t>(idx)].IdAt(r));
       }
       GroupEntry& entry = groups[group_key];
       if (entry.accs.empty()) {
@@ -1120,40 +1072,41 @@ std::string Segment::Serialize() const {
   // included), whatever subset of columns happens to be materialized.
   if (lazy_ != nullptr) return lazy_->blob->substr(lazy_->base_offset);
   std::string out;
-  AppendString(&out, name_);
-  AppendU32(&out, static_cast<uint32_t>(schema_.NumFields()));
+  bytes::PutString(&out, name_);
+  bytes::PutLE32(&out, static_cast<uint32_t>(schema_.NumFields()));
   for (const FieldSpec& f : schema_.fields()) {
-    AppendString(&out, f.name);
+    bytes::PutString(&out, f.name);
     out.push_back(static_cast<char>(f.type));
   }
-  AppendU64(&out, num_rows_);
+  bytes::PutLE64(&out, num_rows_);
   // Index config (indexes themselves are rebuilt on load).
   out.push_back(config_.bit_packed_forward_index ? 1 : 0);
-  AppendU32(&out, static_cast<uint32_t>(config_.inverted_columns.size()));
-  for (const std::string& c : config_.inverted_columns) AppendString(&out, c);
-  AppendString(&out, config_.sorted_column);
-  AppendU32(&out, static_cast<uint32_t>(config_.star_tree_dimensions.size()));
-  for (const std::string& c : config_.star_tree_dimensions) AppendString(&out, c);
-  AppendU32(&out, static_cast<uint32_t>(config_.star_tree_metrics.size()));
-  for (const std::string& c : config_.star_tree_metrics) AppendString(&out, c);
+  auto put_names = [&out](const std::vector<std::string>& names) {
+    bytes::PutLE32(&out, static_cast<uint32_t>(names.size()));
+    for (const std::string& c : names) bytes::PutString(&out, c);
+  };
+  put_names(config_.inverted_columns);
+  bytes::PutString(&out, config_.sorted_column);
+  put_names(config_.star_tree_dimensions);
+  put_names(config_.star_tree_metrics);
   // Columns: dictionary (as one encoded row) + forward index.
   for (const Column& column : columns_) {
     Row dict_row(column.dictionary.begin(), column.dictionary.end());
-    AppendString(&out, EncodeRow(dict_row));
+    bytes::PutString(&out, EncodeRow(dict_row));
     if (!config_.bit_packed_forward_index) {
-      for (size_t r = 0; r < num_rows_; ++r) AppendU32(&out, column.plain[r]);
+      for (size_t r = 0; r < num_rows_; ++r) bytes::PutLE32(&out, column.plain[r]);
     } else {
-      AppendU32(&out, static_cast<uint32_t>(column.packed.bits_per_value()));
-      AppendU64(&out, column.packed.words().size());
-      for (uint64_t w : column.packed.words()) AppendU64(&out, w);
+      bytes::PutLE32(&out, static_cast<uint32_t>(column.packed.bits_per_value()));
+      bytes::PutLE64(&out, column.packed.words().size());
+      for (uint64_t w : column.packed.words()) bytes::PutLE64(&out, w);
     }
   }
   // Zone-map bloom filters, computed once at seal; min/max re-derive from
   // the sorted dictionaries on load.
   for (const ZoneMap& zone : zones_) {
-    AppendU64(&out, zone.bloom_mask);
-    AppendU64(&out, zone.bloom.size());
-    for (uint64_t w : zone.bloom) AppendU64(&out, w);
+    bytes::PutLE64(&out, zone.bloom_mask);
+    bytes::PutLE64(&out, zone.bloom.size());
+    for (uint64_t w : zone.bloom) bytes::PutLE64(&out, w);
   }
   return out;
 }
@@ -1169,112 +1122,112 @@ struct SegmentHeaderInfo {
   SegmentIndexConfig config;
 };
 
-Status ParseSegmentHeader(const std::string& blob, size_t* pos,
-                          SegmentHeaderInfo* out) {
+Status ParseSegmentHeader(bytes::ByteReader* in, SegmentHeaderInfo* out) {
   auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
-  if (!ReadString(blob, pos, &out->name)) return corrupt();
+  auto read_names = [in](std::vector<std::string>* names) {
+    uint32_t n;
+    if (!in->U32(&n)) return false;
+    for (uint32_t i = 0; i < n; ++i) {
+      std::string c;
+      if (!in->String(&c)) return false;
+      names->push_back(std::move(c));
+    }
+    return true;
+  };
+  if (!in->String(&out->name)) return corrupt();
   uint32_t num_fields;
-  if (!ReadU32(blob, pos, &num_fields)) return corrupt();
+  if (!in->U32(&num_fields)) return corrupt();
   for (uint32_t i = 0; i < num_fields; ++i) {
     FieldSpec f;
-    if (!ReadString(blob, pos, &f.name)) return corrupt();
-    if (*pos >= blob.size()) return corrupt();
-    f.type = static_cast<ValueType>(blob[(*pos)++]);
+    uint8_t type;
+    if (!in->String(&f.name) || !in->U8(&type)) return corrupt();
+    f.type = static_cast<ValueType>(type);
     out->fields.push_back(std::move(f));
   }
-  if (!ReadU64(blob, pos, &out->num_rows)) return corrupt();
-  if (*pos >= blob.size()) return corrupt();
-  out->config.bit_packed_forward_index = blob[(*pos)++] != 0;
-  uint32_t n;
-  if (!ReadU32(blob, pos, &n)) return corrupt();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string c;
-    if (!ReadString(blob, pos, &c)) return corrupt();
-    out->config.inverted_columns.push_back(std::move(c));
-  }
-  if (!ReadString(blob, pos, &out->config.sorted_column)) return corrupt();
-  if (!ReadU32(blob, pos, &n)) return corrupt();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string c;
-    if (!ReadString(blob, pos, &c)) return corrupt();
-    out->config.star_tree_dimensions.push_back(std::move(c));
-  }
-  if (!ReadU32(blob, pos, &n)) return corrupt();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string c;
-    if (!ReadString(blob, pos, &c)) return corrupt();
-    out->config.star_tree_metrics.push_back(std::move(c));
+  uint8_t bit_packed;
+  if (!in->U64(&out->num_rows) || !in->U8(&bit_packed)) return corrupt();
+  out->config.bit_packed_forward_index = bit_packed != 0;
+  if (!read_names(&out->config.inverted_columns) ||
+      !in->String(&out->config.sorted_column) ||
+      !read_names(&out->config.star_tree_dimensions) ||
+      !read_names(&out->config.star_tree_metrics)) {
+    return corrupt();
   }
   return Status::Ok();
 }
 
 }  // namespace
 
+Status Segment::Column::Decode(bytes::ByteReader* in, uint64_t num_rows,
+                               bool bit_packed) {
+  auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
+  auto out_of_range = [] {
+    return Status::Corruption("segment blob: dict id out of range");
+  };
+  std::string_view dict_blob;
+  if (!in->String(&dict_blob)) return corrupt();
+  Result<Row> dict = DecodeRow(dict_blob);
+  if (!dict.ok()) return dict.status();
+  dictionary = std::move(dict.value());
+  const uint32_t dict_size = static_cast<uint32_t>(dictionary.size());
+  if (!bit_packed) {
+    if (num_rows > in->remaining() / 4) return corrupt();
+    plain.resize(num_rows);
+    for (uint64_t r = 0; r < num_rows; ++r) {
+      if (!in->U32(&plain[r])) return corrupt();
+      if (plain[r] >= dict_size) return out_of_range();
+    }
+  } else {
+    uint32_t bits;
+    uint64_t num_words;
+    if (!in->U32(&bits) || !in->U64(&num_words)) return corrupt();
+    if (num_words > in->remaining() / 8) return corrupt();
+    std::vector<uint64_t> words(num_words);
+    for (uint64_t w = 0; w < num_words; ++w) {
+      if (!in->U64(&words[w])) return corrupt();
+    }
+    // Adopt the serialized words directly (no unpack/repack round trip),
+    // then batch-decode once to validate every id against the dictionary.
+    Result<BitPackedVector> words_packed =
+        BitPackedVector::FromWords(static_cast<int>(bits), num_rows, std::move(words));
+    if (!words_packed.ok()) return words_packed.status();
+    packed = std::move(words_packed.value());
+    constexpr size_t kBatch = 1024;
+    std::vector<uint32_t> batch(std::min<uint64_t>(kBatch, num_rows));
+    for (uint64_t base = 0; base < num_rows; base += kBatch) {
+      size_t count = static_cast<size_t>(std::min<uint64_t>(kBatch, num_rows - base));
+      packed.Unpack(base, count, batch.data());
+      for (size_t i = 0; i < count; ++i) {
+        if (batch[i] >= dict_size) return out_of_range();
+      }
+    }
+  }
+  BuildDictNumeric();
+  return Status::Ok();
+}
+
 Result<std::shared_ptr<Segment>> Segment::Deserialize(const std::string& blob) {
   auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
-  size_t pos = 0;
+  bytes::ByteReader in(blob);
   SegmentHeaderInfo header;
-  UBERRT_RETURN_IF_ERROR(ParseSegmentHeader(blob, &pos, &header));
+  UBERRT_RETURN_IF_ERROR(ParseSegmentHeader(&in, &header));
   const uint32_t num_fields = static_cast<uint32_t>(header.fields.size());
-  const uint64_t num_rows = header.num_rows;
   const SegmentIndexConfig& config = header.config;
 
   auto segment = std::shared_ptr<Segment>(new Segment());
   segment->name_ = std::move(header.name);
   segment->schema_ = RowSchema(header.fields);
-  segment->num_rows_ = num_rows;
+  segment->num_rows_ = header.num_rows;
   segment->config_ = config;
   segment->sorted_column_ = config.sorted_column.empty()
                                 ? -1
                                 : segment->schema_.FieldIndex(config.sorted_column);
   segment->columns_.resize(num_fields);
-  constexpr size_t kBatch = 1024;
-  std::vector<uint32_t> batch(kBatch);
   for (uint32_t c = 0; c < num_fields; ++c) {
     Column& column = segment->columns_[c];
     column.type = header.fields[c].type;
-    std::string dict_blob;
-    if (!ReadString(blob, &pos, &dict_blob)) return corrupt();
-    Result<Row> dict = DecodeRow(dict_blob);
-    if (!dict.ok()) return dict.status();
-    column.dictionary = std::move(dict.value());
-    const uint32_t dict_size = static_cast<uint32_t>(column.dictionary.size());
-    if (!config.bit_packed_forward_index) {
-      if (num_rows > (blob.size() - pos) / 4) return corrupt();
-      column.plain.resize(num_rows);
-      for (uint64_t r = 0; r < num_rows; ++r) {
-        if (!ReadU32(blob, &pos, &column.plain[r])) return corrupt();
-        if (column.plain[r] >= dict_size) {
-          return Status::Corruption("segment blob: dict id out of range");
-        }
-      }
-    } else {
-      uint32_t bits;
-      uint64_t num_words;
-      if (!ReadU32(blob, &pos, &bits)) return corrupt();
-      if (!ReadU64(blob, &pos, &num_words)) return corrupt();
-      if (num_words > (blob.size() - pos) / 8) return corrupt();
-      std::vector<uint64_t> words(num_words);
-      for (uint64_t w = 0; w < num_words; ++w) {
-        if (!ReadU64(blob, &pos, &words[w])) return corrupt();
-      }
-      // Adopt the serialized words directly (no unpack/repack round trip),
-      // then batch-decode once to validate every id against the dictionary
-      // so hostile blobs can't drive out-of-range lookups later.
-      Result<BitPackedVector> packed =
-          BitPackedVector::FromWords(static_cast<int>(bits), num_rows, std::move(words));
-      if (!packed.ok()) return packed.status();
-      column.packed = std::move(packed.value());
-      for (uint64_t base = 0; base < num_rows; base += kBatch) {
-        size_t count = static_cast<size_t>(std::min<uint64_t>(kBatch, num_rows - base));
-        column.packed.Unpack(base, count, batch.data());
-        for (size_t i = 0; i < count; ++i) {
-          if (batch[i] >= dict_size) {
-            return Status::Corruption("segment blob: dict id out of range");
-          }
-        }
-      }
-    }
+    UBERRT_RETURN_IF_ERROR(
+        column.Decode(&in, header.num_rows, config.bit_packed_forward_index));
   }
   // Bloom words are adopted as serialized (hostile geometry rejected);
   // min/max come from the dictionaries.
@@ -1282,9 +1235,8 @@ Result<std::shared_ptr<Segment>> Segment::Deserialize(const std::string& blob) {
   for (uint32_t c = 0; c < num_fields; ++c) {
     ZoneMap& zone = segment->zones_[c];
     uint64_t mask, num_words;
-    if (!ReadU64(blob, &pos, &mask)) return corrupt();
-    if (!ReadU64(blob, &pos, &num_words)) return corrupt();
-    if (num_words > (blob.size() - pos) / 8) return corrupt();
+    if (!in.U64(&mask) || !in.U64(&num_words)) return corrupt();
+    if (num_words > in.remaining() / 8) return corrupt();
     const uint64_t bits = num_words * 64;
     if ((num_words == 0 && mask != 0) ||
         (num_words > 0 && (mask != bits - 1 || (bits & (bits - 1)) != 0))) {
@@ -1293,10 +1245,9 @@ Result<std::shared_ptr<Segment>> Segment::Deserialize(const std::string& blob) {
     zone.bloom_mask = mask;
     zone.bloom.resize(num_words);
     for (uint64_t w = 0; w < num_words; ++w) {
-      if (!ReadU64(blob, &pos, &zone.bloom[w])) return corrupt();
+      if (!in.U64(&zone.bloom[w])) return corrupt();
     }
   }
-  segment->BuildNumericDictionaries();
   segment->BuildZoneMaps(/*keep_blooms=*/true);
   segment->BuildIndexes(config);
   return segment;
@@ -1305,10 +1256,9 @@ Result<std::shared_ptr<Segment>> Segment::Deserialize(const std::string& blob) {
 Result<std::shared_ptr<Segment>> Segment::DeserializeLazy(
     std::shared_ptr<const std::string> blob, size_t offset) {
   auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
-  const std::string& data = *blob;
-  size_t pos = offset;
+  bytes::ByteReader in(*blob, offset);
   SegmentHeaderInfo header;
-  UBERRT_RETURN_IF_ERROR(ParseSegmentHeader(data, &pos, &header));
+  UBERRT_RETURN_IF_ERROR(ParseSegmentHeader(&in, &header));
   const size_t num_fields = header.fields.size();
 
   auto segment = std::shared_ptr<Segment>(new Segment());
@@ -1325,28 +1275,24 @@ Result<std::shared_ptr<Segment>> Segment::DeserializeLazy(
   auto lazy = std::make_unique<LazySource>();
   lazy->blob = blob;
   lazy->base_offset = offset;
-  lazy->columns.resize(num_fields);
+  lazy->column_pos.resize(num_fields);
   lazy->decoded.assign(num_fields, false);
-  // One structural pass: record where each column's payload lives (so a
+  // One structural pass: record where each column's payload starts (so a
   // truncated blob fails here, not mid-query) without decoding anything.
   for (size_t c = 0; c < num_fields; ++c) {
     segment->columns_[c].type = header.fields[c].type;
-    LazyColumn& lc = lazy->columns[c];
-    lc.dict_pos = pos;
-    uint32_t dict_len;
-    if (!ReadU32(data, &pos, &dict_len)) return corrupt();
-    if (dict_len > data.size() - pos) return corrupt();
-    pos += dict_len;
+    lazy->column_pos[c] = in.pos();
+    std::string_view dict_blob;
+    if (!in.String(&dict_blob)) return corrupt();
     if (!header.config.bit_packed_forward_index) {
-      lc.plain_pos = pos;
-      if (header.num_rows > (data.size() - pos) / 4) return corrupt();
-      pos += static_cast<size_t>(header.num_rows) * 4;
+      if (header.num_rows > in.remaining() / 4) return corrupt();
+      in.Skip(static_cast<size_t>(header.num_rows) * 4);
     } else {
-      if (!ReadU32(data, &pos, &lc.bits)) return corrupt();
-      if (!ReadU64(data, &pos, &lc.num_words)) return corrupt();
-      lc.words_pos = pos;
-      if (lc.num_words > (data.size() - pos) / 8) return corrupt();
-      pos += static_cast<size_t>(lc.num_words) * 8;
+      uint32_t bits;
+      uint64_t num_words;
+      if (!in.U32(&bits) || !in.U64(&num_words)) return corrupt();
+      if (num_words > in.remaining() / 8) return corrupt();
+      in.Skip(static_cast<size_t>(num_words) * 8);
     }
   }
   // The trailing bloom sections are deliberately not parsed: a lazy segment
@@ -1359,59 +1305,14 @@ Result<std::shared_ptr<Segment>> Segment::DeserializeLazy(
 Status Segment::EnsureColumnIndexes(const std::vector<int>& indexes,
                                     OlapQueryStats* stats) const {
   if (lazy_ == nullptr) return Status::Ok();
-  auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
-  const std::string& data = *lazy_->blob;
   std::lock_guard<std::mutex> lock(lazy_->mu);
-  constexpr size_t kBatch = 1024;
-  std::vector<uint32_t> batch;
   for (int idx : indexes) {
     if (idx < 0 || static_cast<size_t>(idx) >= columns_.size()) continue;
     const size_t c = static_cast<size_t>(idx);
     if (lazy_->decoded[c]) continue;
-    Column& column = columns_[c];
-    const LazyColumn& lc = lazy_->columns[c];
-    size_t pos = lc.dict_pos;
-    std::string dict_blob;
-    if (!ReadString(data, &pos, &dict_blob)) return corrupt();
-    Result<Row> dict = DecodeRow(dict_blob);
-    if (!dict.ok()) return dict.status();
-    column.dictionary = std::move(dict.value());
-    const uint32_t dict_size = static_cast<uint32_t>(column.dictionary.size());
-    if (!config_.bit_packed_forward_index) {
-      pos = lc.plain_pos;
-      column.plain.resize(num_rows_);
-      for (size_t r = 0; r < num_rows_; ++r) {
-        if (!ReadU32(data, &pos, &column.plain[r])) return corrupt();
-        if (column.plain[r] >= dict_size) {
-          return Status::Corruption("segment blob: dict id out of range");
-        }
-      }
-    } else {
-      pos = lc.words_pos;
-      std::vector<uint64_t> words(static_cast<size_t>(lc.num_words));
-      for (uint64_t w = 0; w < lc.num_words; ++w) {
-        if (!ReadU64(data, &pos, &words[w])) return corrupt();
-      }
-      Result<BitPackedVector> packed = BitPackedVector::FromWords(
-          static_cast<int>(lc.bits), num_rows_, std::move(words));
-      if (!packed.ok()) return packed.status();
-      column.packed = std::move(packed.value());
-      // Same hostile-id validation as the eager decoder.
-      if (batch.empty()) batch.resize(std::min(kBatch, std::max<size_t>(num_rows_, 1)));
-      for (size_t base = 0; base < num_rows_; base += kBatch) {
-        size_t count = std::min(kBatch, num_rows_ - base);
-        column.packed.Unpack(base, count, batch.data());
-        for (size_t i = 0; i < count; ++i) {
-          if (batch[i] >= dict_size) {
-            return Status::Corruption("segment blob: dict id out of range");
-          }
-        }
-      }
-    }
-    column.dict_numeric.resize(column.dictionary.size());
-    for (size_t i = 0; i < column.dictionary.size(); ++i) {
-      column.dict_numeric[i] = column.dictionary[i].ToNumeric();
-    }
+    bytes::ByteReader in(*lazy_->blob, lazy_->column_pos[c]);
+    UBERRT_RETURN_IF_ERROR(
+        columns_[c].Decode(&in, num_rows_, config_.bit_packed_forward_index));
     lazy_->decoded[c] = true;
     if (stats != nullptr) ++stats->columns_materialized;
   }

@@ -12,6 +12,10 @@
 #include "olap/bitmap.h"
 #include "olap/query.h"
 
+namespace uberrt::bytes {
+class ByteReader;
+}  // namespace uberrt::bytes
+
 namespace uberrt::olap {
 
 /// Bit-packed unsigned integer vector: n values of ceil(log2(cardinality))
@@ -237,6 +241,13 @@ class Segment {
     /// Batch decode of rows [start, start+count) into `out`.
     void UnpackRange(size_t start, size_t count, uint32_t* out) const;
     int64_t MemoryBytes() const;
+    /// Fills dict_numeric from the dictionary.
+    void BuildDictNumeric();
+    /// Decodes one serialized column payload — the dictionary row, then the
+    /// plain ids or the packed words — and rejects any id outside the
+    /// dictionary, so hostile blobs cannot drive out-of-range lookups. The
+    /// one column decoder behind Deserialize and EnsureColumnIndexes.
+    Status Decode(bytes::ByteReader* in, uint64_t num_rows, bool bit_packed);
   };
 
   /// Per-column pruning metadata, computed at seal (Build) and carried
@@ -272,17 +283,10 @@ class Segment {
   /// Deferred decode state for DeserializeLazy. `decoded[c]` flips true
   /// exactly once, under `mu`; the mutex acquisition in Ensure* gives
   /// readers their happens-before edge to the decoded column data.
-  struct LazyColumn {
-    size_t dict_pos = 0;   ///< start of the length-prefixed dictionary row
-    uint32_t bits = 0;     ///< packed forward index width (packing on)
-    uint64_t num_words = 0;
-    size_t words_pos = 0;  ///< packed words (packing on)
-    size_t plain_pos = 0;  ///< plain u32 ids (packing off)
-  };
   struct LazySource {
     std::shared_ptr<const std::string> blob;
     size_t base_offset = 0;  ///< segment blob = [base_offset, blob->size())
-    std::vector<LazyColumn> columns;
+    std::vector<size_t> column_pos;  ///< where each column's payload starts
     std::mutex mu;
     std::vector<bool> decoded;  // guarded by mu
   };
@@ -297,8 +301,6 @@ class Segment {
   Status EnsureForQuery(const OlapQuery& query, OlapQueryStats* stats) const;
 
   void BuildIndexes(const SegmentIndexConfig& config);
-  /// Fills each column's dict_numeric table (after dictionaries exist).
-  void BuildNumericDictionaries();
   /// Fills zones_ from the sorted dictionaries; `keep_blooms` preserves
   /// bloom words adopted from a serialized blob instead of rehashing.
   void BuildZoneMaps(bool keep_blooms = false);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "olap/bitmap.h"
 #include "olap/segment.h"
 
@@ -23,19 +24,6 @@ constexpr size_t kBatchRows = 1024;
 /// Scratch entries a segment's batches need: no batch spans more rows than
 /// the segment has.
 size_t BatchCapacity(size_t num_rows) { return std::min(kBatchRows, num_rows); }
-
-void AppendIdBE(std::string* out, uint32_t v) {
-  char buf[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-                 static_cast<char>(v >> 8), static_cast<char>(v)};
-  out->append(buf, 4);
-}
-
-uint32_t ReadIdBE(const char* p) {
-  return (static_cast<uint32_t>(static_cast<unsigned char>(p[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 8) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3]));
-}
 
 /// Open-addressing hash map from packed group key to dense group index
 /// (linear probing, power-of-two capacity, <75% load). Groups get dense
@@ -416,7 +404,7 @@ Result<OlapResult> Segment::ExecuteVectorized(const PreparedQuery& prepared,
       gather_agg_ids(base, hi - base, n);
       for (size_t i = 0; i < n; ++i) {
         key.clear();
-        for (size_t g = 0; g < num_groups; ++g) AppendIdBE(&key, group_ids[g][i]);
+        for (size_t g = 0; g < num_groups; ++g) bytes::PutBE32(&key, group_ids[g][i]);
         auto [it, inserted] = groups.try_emplace(key);
         if (inserted) it->second.resize(num_aggs);
         for (size_t a = 0; a < num_aggs; ++a) it->second[a].Add(agg_value(a, i));
@@ -426,7 +414,7 @@ Result<OlapResult> Segment::ExecuteVectorized(const PreparedQuery& prepared,
       Row row;
       row.reserve(num_groups + num_aggs * kAccumulatorFields);
       for (size_t g = 0; g < num_groups; ++g) {
-        uint32_t id = ReadIdBE(group_key.data() + g * 4);
+        uint32_t id = bytes::LoadBE32(group_key.data() + g * 4);
         const Column& column = columns_[static_cast<size_t>(group_indices[g])];
         row.push_back(column.dictionary[id]);
       }

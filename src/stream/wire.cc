@@ -1,7 +1,6 @@
 #include "stream/wire.h"
 
 #include <array>
-#include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <nmmintrin.h>
@@ -39,9 +38,7 @@ uint32_t Crc32Sw(const char* data, size_t n, uint32_t crc) {
   static const std::array<std::array<uint32_t, 256>, 8> kTables = BuildCrcTables();
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   while (n >= 8) {
-    uint64_t chunk;
-    std::memcpy(&chunk, p, 8);  // little-endian host assumed for the fold
-    chunk ^= crc;
+    uint64_t chunk = bytes::LoadLE64(reinterpret_cast<const char*>(p)) ^ crc;
     crc = kTables[7][chunk & 0xFF] ^ kTables[6][(chunk >> 8) & 0xFF] ^
           kTables[5][(chunk >> 16) & 0xFF] ^ kTables[4][(chunk >> 24) & 0xFF] ^
           kTables[3][(chunk >> 32) & 0xFF] ^ kTables[2][(chunk >> 40) & 0xFF] ^
@@ -61,9 +58,7 @@ __attribute__((target("sse4.2"))) uint32_t Crc32Hw(const char* data, size_t n,
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   uint64_t c = crc;
   while (n >= 8) {
-    uint64_t chunk;
-    std::memcpy(&chunk, p, 8);
-    c = _mm_crc32_u64(c, chunk);
+    c = _mm_crc32_u64(c, bytes::LoadLE64(reinterpret_cast<const char*>(p)));
     p += 8;
     n -= 8;
   }
@@ -96,29 +91,29 @@ void AppendFrame(std::string& buf, const Message& m) {
   // cache miss per node, and this runs once per produced message).
   size_t start = buf.size();
   buf.append(4, '\0');  // frame_len, patched below
-  AppendU64(buf, static_cast<uint64_t>(m.timestamp));
-  AppendU32(buf, static_cast<uint32_t>(m.key.size()));
+  bytes::PutBE64(&buf, static_cast<uint64_t>(m.timestamp));
+  bytes::PutBE32(&buf, static_cast<uint32_t>(m.key.size()));
   buf.append(m.key);
-  AppendU32(buf, static_cast<uint32_t>(m.value.size()));
+  bytes::PutBE32(&buf, static_cast<uint32_t>(m.value.size()));
   buf.append(m.value);
-  AppendU32(buf, static_cast<uint32_t>(m.headers.size()));
+  bytes::PutBE32(&buf, static_cast<uint32_t>(m.headers.size()));
   for (const auto& [k, v] : m.headers) {
-    AppendU32(buf, static_cast<uint32_t>(k.size()));
+    bytes::PutBE32(&buf, static_cast<uint32_t>(k.size()));
     buf.append(k);
-    AppendU32(buf, static_cast<uint32_t>(v.size()));
+    bytes::PutBE32(&buf, static_cast<uint32_t>(v.size()));
     buf.append(v);
   }
-  WriteU32(&buf[start], static_cast<uint32_t>(buf.size() - start - 4));
+  bytes::StoreBE32(&buf[start], static_cast<uint32_t>(buf.size() - start - 4));
 }
 
 bool MessageView::GetHeader(std::string_view name, std::string_view* out) const {
   size_t pos = 0;
   for (uint32_t i = 0; i < header_count; ++i) {
-    uint32_t klen = ReadU32(headers_raw.data() + pos);
+    uint32_t klen = bytes::LoadBE32(headers_raw.data() + pos);
     pos += 4;
     std::string_view k = headers_raw.substr(pos, klen);
     pos += klen;
-    uint32_t vlen = ReadU32(headers_raw.data() + pos);
+    uint32_t vlen = bytes::LoadBE32(headers_raw.data() + pos);
     pos += 4;
     if (k == name) {
       *out = headers_raw.substr(pos, vlen);
@@ -138,11 +133,11 @@ Message MessageView::ToMessage() const {
   m.partition = partition;
   size_t pos = 0;
   for (uint32_t i = 0; i < header_count; ++i) {
-    uint32_t klen = ReadU32(headers_raw.data() + pos);
+    uint32_t klen = bytes::LoadBE32(headers_raw.data() + pos);
     pos += 4;
     std::string k(headers_raw.substr(pos, klen));
     pos += klen;
-    uint32_t vlen = ReadU32(headers_raw.data() + pos);
+    uint32_t vlen = bytes::LoadBE32(headers_raw.data() + pos);
     pos += 4;
     m.headers.emplace(std::move(k), std::string(headers_raw.substr(pos, vlen)));
     pos += vlen;
@@ -150,67 +145,24 @@ Message MessageView::ToMessage() const {
   return m;
 }
 
-Result<MessageView> DecodeFrame(std::string_view data, size_t* pos) {
-  size_t p = *pos;
-  auto truncated = [] { return Status::Corruption("truncated record frame"); };
-  if (p + 4 > data.size()) return truncated();
-  uint32_t frame_len = ReadU32(data.data() + p);
-  p += 4;
-  if (frame_len < kMinFrameLen || p + frame_len > data.size()) return truncated();
-  size_t frame_end = p + frame_len;
-
-  MessageView view;
-  view.raw_frame = data.substr(*pos, 4 + frame_len);
-  view.timestamp = static_cast<TimestampMs>(ReadU64(data.data() + p));
-  p += 8;
-  uint32_t key_len = ReadU32(data.data() + p);
-  p += 4;
-  if (p + key_len + 4 > frame_end) return truncated();
-  view.key = data.substr(p, key_len);
-  p += key_len;
-  uint32_t value_len = ReadU32(data.data() + p);
-  p += 4;
-  if (p + value_len + 4 > frame_end) return truncated();
-  view.value = data.substr(p, value_len);
-  p += value_len;
-  view.header_count = ReadU32(data.data() + p);
-  p += 4;
-  size_t headers_begin = p;
-  for (uint32_t i = 0; i < view.header_count; ++i) {
-    if (p + 4 > frame_end) return truncated();
-    uint32_t klen = ReadU32(data.data() + p);
-    p += 4 + klen;
-    if (p + 4 > frame_end) return truncated();
-    uint32_t vlen = ReadU32(data.data() + p);
-    p += 4 + vlen;
-    if (p > frame_end) return truncated();
-  }
-  if (p != frame_end) {
-    return Status::Corruption("record frame length mismatch");
-  }
-  view.headers_raw = data.substr(headers_begin, frame_end - headers_begin);
-  *pos = frame_end;
-  return view;
-}
-
 MessageView DecodeFrameTrusted(std::string_view data, size_t* pos) {
   size_t p = *pos;
-  uint32_t frame_len = ReadU32(data.data() + p);
+  uint32_t frame_len = bytes::LoadBE32(data.data() + p);
   p += 4;
   size_t frame_end = p + frame_len;
   MessageView view;
   view.raw_frame = data.substr(*pos, 4 + frame_len);
-  view.timestamp = static_cast<TimestampMs>(ReadU64(data.data() + p));
+  view.timestamp = static_cast<TimestampMs>(bytes::LoadBE64(data.data() + p));
   p += 8;
-  uint32_t key_len = ReadU32(data.data() + p);
+  uint32_t key_len = bytes::LoadBE32(data.data() + p);
   p += 4;
   view.key = data.substr(p, key_len);
   p += key_len;
-  uint32_t value_len = ReadU32(data.data() + p);
+  uint32_t value_len = bytes::LoadBE32(data.data() + p);
   p += 4;
   view.value = data.substr(p, value_len);
   p += value_len;
-  view.header_count = ReadU32(data.data() + p);
+  view.header_count = bytes::LoadBE32(data.data() + p);
   p += 4;
   // Validation already proved the header region spans exactly to frame_end,
   // so there is no need to walk the entries here.
@@ -242,12 +194,12 @@ EncodedBatch BatchBuilder::Finish() {
   batch.record_count = count_;
   batch.max_timestamp = max_timestamp_;
   char* h = payload_.data();
-  WriteU32(h, kBatchMagic);
-  WriteU32(h + 4, count_);
-  WriteU32(h + 8, static_cast<uint32_t>(payload_.size() - kBatchHeaderSize));
-  WriteU32(h + 12,
+  bytes::StoreBE32(h, kBatchMagic);
+  bytes::StoreBE32(h + 4, count_);
+  bytes::StoreBE32(h + 8, static_cast<uint32_t>(payload_.size() - kBatchHeaderSize));
+  bytes::StoreBE32(h + 12,
            Crc32(payload_.data() + kBatchHeaderSize, payload_.size() - kBatchHeaderSize));
-  WriteU64(h + 16, static_cast<uint64_t>(max_timestamp_));
+  bytes::StoreBE64(h + 16, static_cast<uint64_t>(max_timestamp_));
   batch.data = std::move(payload_);  // seal without copying the payload
   Reset();
   return batch;
@@ -257,12 +209,12 @@ Status ValidateBatch(std::string_view batch) {
   if (batch.size() < kBatchHeaderSize) {
     return Status::Corruption("batch shorter than header");
   }
-  if (ReadU32(batch.data()) != kBatchMagic) {
+  if (bytes::LoadBE32(batch.data()) != kBatchMagic) {
     return Status::Corruption("bad batch magic");
   }
-  uint32_t record_count = ReadU32(batch.data() + 4);
-  uint32_t payload_len = ReadU32(batch.data() + 8);
-  uint32_t crc = ReadU32(batch.data() + 12);
+  uint32_t record_count = bytes::LoadBE32(batch.data() + 4);
+  uint32_t payload_len = bytes::LoadBE32(batch.data() + 8);
+  uint32_t crc = bytes::LoadBE32(batch.data() + 12);
   if (batch.size() != kBatchHeaderSize + payload_len) {
     return Status::Corruption("batch payload length mismatch");
   }
@@ -271,35 +223,35 @@ Status ValidateBatch(std::string_view batch) {
     return Status::Corruption("batch CRC mismatch");
   }
   // Full structural walk: a batch that passes is safe to index and serve
-  // views from with no further per-read checks. The checks mirror
-  // DecodeFrame but only verify lengths — this runs once per record on the
-  // append hot path, so it skips materializing views.
+  // views from with no further per-read checks. This is the one checked
+  // walk of a frame: it only verifies lengths — it runs once per record on
+  // the append hot path, so it skips materializing views.
   const char* base = payload.data();
   size_t size = payload.size();
   size_t pos = 0;
   auto truncated = [] { return Status::Corruption("truncated record frame"); };
   for (uint32_t i = 0; i < record_count; ++i) {
     if (pos + 4 > size) return truncated();
-    uint32_t frame_len = ReadU32(base + pos);
+    uint32_t frame_len = bytes::LoadBE32(base + pos);
     pos += 4;
     if (frame_len < kMinFrameLen || pos + frame_len > size) return truncated();
     size_t frame_end = pos + frame_len;
     size_t p = pos + 8;  // timestamp needs no validation
-    uint32_t key_len = ReadU32(base + p);
+    uint32_t key_len = bytes::LoadBE32(base + p);
     p += 4;
     if (p + key_len + 4 > frame_end) return truncated();
     p += key_len;
-    uint32_t value_len = ReadU32(base + p);
+    uint32_t value_len = bytes::LoadBE32(base + p);
     p += 4;
     if (p + value_len + 4 > frame_end) return truncated();
     p += value_len;
-    uint32_t header_count = ReadU32(base + p);
+    uint32_t header_count = bytes::LoadBE32(base + p);
     p += 4;
     for (uint32_t h = 0; h < header_count; ++h) {
       if (p + 4 > frame_end) return truncated();
-      p += 4 + ReadU32(base + p);
+      p += 4 + bytes::LoadBE32(base + p);
       if (p + 4 > frame_end) return truncated();
-      p += 4 + ReadU32(base + p);
+      p += 4 + bytes::LoadBE32(base + p);
       if (p > frame_end) return truncated();
     }
     if (p != frame_end) {
@@ -311,19 +263,6 @@ Status ValidateBatch(std::string_view batch) {
     return Status::Corruption("batch record count mismatch");
   }
   return Status::Ok();
-}
-
-Result<BatchReader> BatchReader::Open(std::string_view batch) {
-  UBERRT_RETURN_IF_ERROR(ValidateBatch(batch));
-  return BatchReader(batch.substr(kBatchHeaderSize), ReadU32(batch.data() + 4),
-                     static_cast<int64_t>(ReadU64(batch.data() + 16)));
-}
-
-Result<MessageView> BatchReader::Next() {
-  if (Done()) return Status::OutOfRange("batch exhausted");
-  Result<MessageView> view = DecodeFrame(payload_, &pos_);
-  if (view.ok()) ++read_;
-  return view;
 }
 
 }  // namespace uberrt::stream::wire

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <mutex>
 #include <set>
 
+#include "common/clock.h"
 #include "common/fault_injector.h"
 #include "stream/broker.h"
 #include "stream/producer.h"
@@ -262,6 +264,68 @@ TEST_F(JobRunnerTest, LateRecordsAreDropped) {
   EXPECT_EQ(runner.LateDropped(), 1);
   // Two windows fired: [0,1000) with 1 record, [5000,6000) with 1.
   EXPECT_EQ(results.size(), 2u);
+}
+
+TEST_F(JobRunnerTest, SkewedFirstBatchesAfterStartMatchPreProducedInput) {
+  // A batching producer lands each partition's first batch at a different
+  // moment. A job started before it must not treat the partitions still
+  // empty when the first batch arrives as idle and race its watermark past
+  // their events: its window counts must equal those of a job that finds
+  // the same input already in the topic.
+  auto partition_batch = [](int32_t p) {
+    stream::wire::BatchBuilder builder;
+    for (int i = 0; i < 40; ++i) {
+      const std::string key = std::to_string((i + p) % 3);
+      int64_t ts = i * 250;  // 10 one-second windows, every partition
+      builder.Add(TripMessage("h" + key, 1.0, ts));
+    }
+    return builder.Finish();
+  };
+  auto make_graph = [](std::mutex* mu, std::map<std::pair<std::string, int64_t>, int64_t>* counts) {
+    JobGraph graph("skewed");
+    SourceSpec source;
+    source.topic = "trips";
+    source.schema = TripSchema();
+    source.time_field = "ts";
+    source.watermark_interval_records = 1;
+    graph.AddSource(source)
+        .WindowAggregate("agg", {"hex"}, WindowSpec::Tumbling(1000),
+                         {AggregateSpec::Count("n")})
+        .SinkToCollector([mu, counts](const Row& row, TimestampMs) {
+          std::lock_guard<std::mutex> lock(*mu);
+          (*counts)[{row[0].AsString(), row[1].AsInt()}] += row[2].AsInt();
+        });
+    return graph;
+  };
+
+  std::mutex mu;
+  std::map<std::pair<std::string, int64_t>, int64_t> live;
+  JobRunner runner(make_graph(&mu, &live), broker_.get(), store_.get());
+  ASSERT_TRUE(runner.Start().ok());
+  // Partition 0's first batch lands alone, and the source reads all of it
+  // (one watermark per record) before the other partitions' batches land.
+  ASSERT_TRUE(broker_->ProduceBatch("trips", 0, partition_batch(0),
+                                    AckMode::kLeader, stream::Priority::kImportant).ok());
+  for (int spin = 0; spin < 10000 && runner.RecordsIn() < 40; ++spin) {
+    SystemClock::Instance()->SleepMs(1);
+  }
+  ASSERT_EQ(runner.RecordsIn(), 40);
+  for (int32_t p = 1; p < 4; ++p) {
+    ASSERT_TRUE(broker_->ProduceBatch("trips", p, partition_batch(p),
+                                      AckMode::kLeader, stream::Priority::kImportant).ok());
+  }
+  runner.RequestFinish();
+  ASSERT_TRUE(runner.AwaitTermination(10000).ok());
+  EXPECT_EQ(runner.LateDropped(), 0);
+
+  std::map<std::pair<std::string, int64_t>, int64_t> preproduced;
+  JobRunner reference(make_graph(&mu, &preproduced), broker_.get(), store_.get());
+  ASSERT_TRUE(reference.Start().ok());
+  reference.RequestFinish();
+  ASSERT_TRUE(reference.AwaitTermination(10000).ok());
+  ASSERT_EQ(reference.RecordsIn(), 160);
+  EXPECT_EQ(preproduced.size(), 30u);  // 3 keys x 10 windows
+  EXPECT_EQ(live, preproduced);
 }
 
 TEST_F(JobRunnerTest, CorruptMessagesCountedNotFatal) {

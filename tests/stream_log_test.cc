@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/clock.h"
 #include "stream/broker.h"
 #include "stream/consumer.h"
@@ -49,21 +50,23 @@ TEST(WireTest, MessageRoundTripsThroughFrame) {
   m.headers["uid"] = "u-9";
   m.headers["tier"] = "1";
   wire::EncodedBatch batch = Batch({m});
-  Result<wire::BatchReader> reader = wire::BatchReader::Open(batch.data);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader.value().record_count(), 1u);
-  EXPECT_EQ(reader.value().max_timestamp(), 77);
-  Result<wire::MessageView> view = reader.value().Next();
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value().key, "k1");
-  EXPECT_EQ(view.value().value, "v1");
-  EXPECT_EQ(view.value().timestamp, 77);
-  EXPECT_EQ(view.value().header_count, 2u);
+  Status valid = wire::ValidateBatch(batch.data);
+  ASSERT_TRUE(valid.ok()) << valid.ToString();
+  // Header: magic, record_count, payload_len, crc, max_timestamp.
+  EXPECT_EQ(bytes::LoadBE32(batch.data.data() + 4), 1u);
+  EXPECT_EQ(static_cast<int64_t>(bytes::LoadBE64(batch.data.data() + 16)), 77);
+  size_t pos = wire::kBatchHeaderSize;
+  wire::MessageView view = wire::DecodeFrameTrusted(batch.data, &pos);
+  EXPECT_EQ(pos, batch.data.size());
+  EXPECT_EQ(view.key, "k1");
+  EXPECT_EQ(view.value, "v1");
+  EXPECT_EQ(view.timestamp, 77);
+  EXPECT_EQ(view.header_count, 2u);
   std::string_view header;
-  ASSERT_TRUE(view.value().GetHeader("uid", &header));
+  ASSERT_TRUE(view.GetHeader("uid", &header));
   EXPECT_EQ(header, "u-9");
-  EXPECT_FALSE(view.value().GetHeader("absent", &header));
-  Message back = view.value().ToMessage();
+  EXPECT_FALSE(view.GetHeader("absent", &header));
+  Message back = view.ToMessage();
   EXPECT_EQ(back.key, m.key);
   EXPECT_EQ(back.value, m.value);
   EXPECT_EQ(back.headers, m.headers);
